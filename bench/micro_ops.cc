@@ -37,6 +37,8 @@
 #include "core/svc.h"
 #include "relational/executor.h"
 #include "storage/durable_engine.h"
+#include "tpcd/tpcd_gen.h"
+#include "tpcd/tpcd_views.h"
 
 namespace svc {
 namespace {
@@ -694,6 +696,91 @@ int main(int argc, char** argv) {
                 sharded_bench.sample_rows);
   }
 
+  // -- Stale-side memo: warm grouped CORR on the TPCD join view --------------
+  // A repeated grouped SVC+CORR query (Q7: revenue by l_shipmode) over the
+  // TPCD SF 0.01 join view with pending updates. With the memo the warm
+  // query pays only the correction: q(S) and the cleaned samples are
+  // memoized. With the cache off every query re-cleans and recomputes q(S)
+  // over the whole view. The two answers must agree in every bit.
+  struct MemoBench {
+    size_t view_rows = 0;
+    size_t groups = 0;
+    double memo_ms = 0;
+    double nocache_ms = 0;
+    double speedup() const { return nocache_ms / memo_ms; }
+  } memo_bench;
+  {
+    TpcdConfig cfg;
+    auto fail = [](const Status& st) {
+      std::fprintf(stderr, "[micro_ops] stale_memo: %s\n",
+                   st.ToString().c_str());
+      return 2;
+    };
+    Result<Database> tpcd = GenerateTpcdDatabase(cfg);
+    if (!tpcd.ok()) return fail(tpcd.status());
+    SvcEngine engine(std::move(tpcd).value());
+    if (auto st = engine.CreateView("join_view", TpcdJoinViewDef(),
+                                    TpcdJoinViewSamplingKey());
+        !st.ok()) {
+      return fail(st);
+    }
+    TpcdUpdateConfig ucfg;
+    ucfg.fraction = 0.05;
+    Result<DeltaSet> updates = GenerateTpcdUpdates(*engine.db(), cfg, ucfg);
+    if (!updates.ok()) return fail(updates.status());
+    if (auto st = engine.IngestDeltas(std::move(updates).value()); !st.ok()) {
+      return fail(st);
+    }
+    memo_bench.view_rows = (*engine.db()->GetTable("join_view"))->NumRows();
+    ViewQuery q7;
+    for (const ViewQuery& vq : TpcdJoinViewQueries()) {
+      if (vq.name == "Q7") q7 = vq;
+    }
+    SvcQueryOptions qopts;
+    qopts.ratio = 0.1;
+    SvcEngine nocache(engine);
+    nocache.set_sample_cache_enabled(false);
+    auto run = [&](const SvcEngine& e) -> GroupedResult {
+      auto r = e.QueryGrouped("join_view", q7.group_by, q7.query, qopts);
+      if (!r.ok()) {
+        std::fprintf(stderr, "[micro_ops] stale_memo query failed: %s\n",
+                     r.status().ToString().c_str());
+        std::exit(2);
+      }
+      return std::move(r).value().result;
+    };
+    auto groups = [&](const SvcEngine& e) { return run(e).group_keys.size(); };
+    size_t memo_groups = 0, nocache_groups = 0;
+    memo_bench.memo_ms =
+        TimeMs(reps, [&] { return groups(engine); }, &memo_groups);
+    memo_bench.nocache_ms =
+        TimeMs(reps, [&] { return groups(nocache); }, &nocache_groups);
+    memo_bench.groups = memo_groups;
+    const GroupedResult with_memo = run(engine);
+    const GroupedResult without = run(nocache);
+    bool same = with_memo.group_keys.size() == without.group_keys.size();
+    for (size_t g = 0; same && g < with_memo.group_keys.size(); ++g) {
+      const Estimate& a = with_memo.estimates[g];
+      const Estimate& b = without.estimates[g];
+      same = with_memo.group_keys[g] == without.group_keys[g] &&
+             std::memcmp(&a.value, &b.value, sizeof a.value) == 0 &&
+             std::memcmp(&a.ci_low, &b.ci_low, sizeof a.ci_low) == 0 &&
+             std::memcmp(&a.ci_high, &b.ci_high, sizeof a.ci_high) == 0 &&
+             a.sample_rows == b.sample_rows;
+    }
+    if (!same) {
+      std::fprintf(stderr,
+                   "[micro_ops] stale_memo: the memoized answer differs from "
+                   "the cache-off answer\n");
+      return 2;
+    }
+    std::printf("-- stale-side memo (grouped CORR, %zu-row TPCD join view, "
+                "%zu groups) --\n", memo_bench.view_rows, memo_bench.groups);
+    std::printf("%-16s memo %8.3f ms   cache off %8.3f ms   speedup %6.1fx\n",
+                "stale_memo", memo_bench.memo_ms, memo_bench.nocache_ms,
+                memo_bench.speedup());
+  }
+
   // -- Durable commit latency per WAL fsync policy ---------------------------
   // One-row logged commits through a DurableEngine in a scratch directory.
   // The spread between off / every=N / always is the price of the
@@ -811,6 +898,12 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "    \"cold_ms\": %.3f, \"warm_ms\": %.3f,\n",
                cache_bench.cold_ms, cache_bench.warm_ms);
+  std::fprintf(f,
+               "    \"stale_memo\": {\"view_rows\": %zu, \"groups\": %zu, "
+               "\"memo_ms\": %.3f, \"nocache_ms\": %.3f, "
+               "\"speedup\": %.1f, \"answer_bit_identical\": true},\n",
+               memo_bench.view_rows, memo_bench.groups, memo_bench.memo_ms,
+               memo_bench.nocache_ms, memo_bench.speedup());
   std::fprintf(f, "    \"ingest_commit\": [\n");
   for (size_t i = 0; i < cache_bench.commit_us.size(); ++i) {
     std::fprintf(f, "      {\"queued_rows\": %zu, \"commit_us\": %.2f}%s\n",

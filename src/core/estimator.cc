@@ -328,6 +328,36 @@ Estimate CorrFromPairs(const std::vector<PairRow>& pairs,
   return e;
 }
 
+/// Exact evaluation of `q` over already-evaluated rows: the one code path
+/// behind ExactAggregate and each group of ExactAggregateGrouped.
+Result<double> ExactFromRows(const std::vector<EvalRow>& rows,
+                             const AggregateQuery& q) {
+  if (IsTotalQuery(q.func)) {
+    double total = 0;
+    for (const auto& er : rows) total += SumTerm(q, er);
+    return total;
+  }
+  std::vector<double> values = PredValues(rows);
+  switch (q.func) {
+    case AggFunc::kAvg:
+      return Mean(values);
+    case AggFunc::kMedian:
+      return MedianInPlace(&values);
+    case AggFunc::kMin:
+      return values.empty() ? 0.0
+                            : *std::min_element(values.begin(), values.end());
+    case AggFunc::kMax:
+      return values.empty() ? 0.0
+                            : *std::max_element(values.begin(), values.end());
+    default:
+      return Status::NotSupported(
+          std::string(AggFuncName(q.func)) +
+          " has no exact single-pass evaluator (supported: sum, count, "
+          "count(*), avg, median, min, max); query: " +
+          q.ToString());
+  }
+}
+
 }  // namespace
 
 double NormalQuantile(double confidence) {
@@ -369,30 +399,7 @@ double NormalQuantile(double confidence) {
 
 Result<double> ExactAggregate(const Table& view, const AggregateQuery& q) {
   SVC_ASSIGN_OR_RETURN(std::vector<EvalRow> rows, EvalRows(view, q));
-  if (IsTotalQuery(q.func)) {
-    double total = 0;
-    for (const auto& er : rows) total += SumTerm(q, er);
-    return total;
-  }
-  std::vector<double> values = PredValues(rows);
-  switch (q.func) {
-    case AggFunc::kAvg:
-      return Mean(values);
-    case AggFunc::kMedian:
-      return MedianInPlace(&values);
-    case AggFunc::kMin:
-      return values.empty() ? 0.0
-                            : *std::min_element(values.begin(), values.end());
-    case AggFunc::kMax:
-      return values.empty() ? 0.0
-                            : *std::max_element(values.begin(), values.end());
-    default:
-      return Status::NotSupported(
-          std::string(AggFuncName(q.func)) +
-          " has no exact single-pass evaluator (supported: sum, count, "
-          "count(*), avg, median, min, max); query: " +
-          q.ToString());
-  }
+  return ExactFromRows(rows, q);
 }
 
 Result<Estimate> SvcAqpEstimate(const CorrespondingSamples& samples,
@@ -407,6 +414,13 @@ Result<Estimate> SvcCorrEstimate(const Table& stale_view,
                                  const AggregateQuery& q,
                                  const EstimatorOptions& opts) {
   SVC_ASSIGN_OR_RETURN(double exact_stale, ExactAggregate(stale_view, q));
+  return SvcCorrEstimate(exact_stale, samples, q, opts);
+}
+
+Result<Estimate> SvcCorrEstimate(double exact_stale,
+                                 const CorrespondingSamples& samples,
+                                 const AggregateQuery& q,
+                                 const EstimatorOptions& opts) {
   SVC_ASSIGN_OR_RETURN(std::vector<PairRow> pairs, PairRows(samples, q));
   if (q.func == AggFunc::kMin || q.func == AggFunc::kMax) {
     // Appendix §12.1.1: correct the stale extremum by the largest (resp.
@@ -476,11 +490,9 @@ Result<GroupedResult> ExactAggregateGrouped(
     std::vector<EvalRow> sub;
     sub.reserve(buckets.rows[g].size());
     for (size_t i : buckets.rows[g]) sub.push_back(rows[i]);
-    // Exact evaluation: reuse the AQP path with m = 1 (no scaling, zero
-    // variance).
-    Estimate e = AqpFromRows(sub, q, 1.0, {});
-    e.has_ci = false;
-    out.estimates[g] = e;
+    Estimate& e = out.estimates[g];
+    SVC_ASSIGN_OR_RETURN(e.value, ExactFromRows(sub, q));
+    e.sample_rows = sub.size();
   }
   return out;
 }
@@ -515,10 +527,15 @@ Result<GroupedResult> SvcCorrEstimateGrouped(
     const Table& stale_view, const CorrespondingSamples& samples,
     const std::vector<std::string>& group_columns, const AggregateQuery& q,
     const EstimatorOptions& opts) {
-  // Exact per-group stale answers.
   SVC_ASSIGN_OR_RETURN(GroupedResult stale_exact,
                        ExactAggregateGrouped(stale_view, group_columns, q));
+  return SvcCorrEstimateGrouped(stale_exact, samples, q, opts);
+}
 
+Result<GroupedResult> SvcCorrEstimateGrouped(
+    const GroupedResult& stale_exact, const CorrespondingSamples& samples,
+    const AggregateQuery& q, const EstimatorOptions& opts) {
+  const std::vector<std::string>& group_columns = stale_exact.group_columns;
   // Pair the samples and bucket pairs by group (taken from the fresh side
   // when present, else the stale side).
   SVC_ASSIGN_OR_RETURN(std::vector<PairRow> pairs, PairRows(samples, q));

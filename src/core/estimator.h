@@ -94,6 +94,15 @@ Result<Estimate> SvcCorrEstimate(const Table& stale_view,
                                  const AggregateQuery& q,
                                  const EstimatorOptions& opts = {});
 
+/// The correction half of SVC+CORR: q(S) + ĉ with the exact stale answer
+/// `exact_stale` = ExactAggregate(S, q) supplied by the caller, so a q(S)
+/// computed once per stale view version serves every query against it
+/// (core/stale_memo.h). Bit-identical to the overload above.
+Result<Estimate> SvcCorrEstimate(double exact_stale,
+                                 const CorrespondingSamples& samples,
+                                 const AggregateQuery& q,
+                                 const EstimatorOptions& opts = {});
+
 // ---- Grouped variants ------------------------------------------------------
 
 /// Results of evaluating the same aggregate once per group.
@@ -111,7 +120,9 @@ struct GroupedResult {
   }
 };
 
-/// Exact per-group evaluation over a full table.
+/// Exact per-group evaluation over a full table: each group's value is
+/// ExactAggregate over that group's rows (bit for bit), `sample_rows` its
+/// row count, and no estimate carries a CI.
 Result<GroupedResult> ExactAggregateGrouped(
     const Table& view, const std::vector<std::string>& group_columns,
     const AggregateQuery& q);
@@ -130,6 +141,13 @@ Result<GroupedResult> SvcCorrEstimateGrouped(
     const Table& stale_view, const CorrespondingSamples& samples,
     const std::vector<std::string>& group_columns, const AggregateQuery& q,
     const EstimatorOptions& opts = {});
+
+/// Per-group SVC+CORR over a precomputed `stale_exact` =
+/// ExactAggregateGrouped(S, group_columns, q); the group columns are read
+/// from it. Bit-identical to the overload above.
+Result<GroupedResult> SvcCorrEstimateGrouped(
+    const GroupedResult& stale_exact, const CorrespondingSamples& samples,
+    const AggregateQuery& q, const EstimatorOptions& opts = {});
 
 /// z-value for a two-sided normal interval at `confidence` (e.g. 0.95 ->
 /// 1.96). Supports the 0.8–0.999 range via a rational approximation.

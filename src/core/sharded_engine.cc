@@ -515,8 +515,11 @@ Result<SvcAnswer> ShardedEngine::Query(const ShardedSnapshot& snap,
   } else {
     SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> stale,
                          GatherTable(snap, view));
+    SVC_ASSIGN_OR_RETURN(
+        double exact,
+        MemoExactAggregate(CoordinatorMemo(snap), view, stale, q));
     SVC_ASSIGN_OR_RETURN(answer.estimate,
-                         SvcCorrEstimate(*stale, *samples, q, opts.estimator));
+                         SvcCorrEstimate(exact, *samples, q, opts.estimator));
   }
   return answer;
 }
@@ -538,9 +541,12 @@ Result<SvcGroupedAnswer> ShardedEngine::QueryGrouped(
   } else {
     SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> stale,
                          GatherTable(snap, view));
+    SVC_ASSIGN_OR_RETURN(std::shared_ptr<const GroupedResult> exact,
+                         MemoExactAggregateGrouped(CoordinatorMemo(snap), view,
+                                                   stale, group_columns, q));
     SVC_ASSIGN_OR_RETURN(
-        answer.result, SvcCorrEstimateGrouped(*stale, *samples, group_columns,
-                                              q, opts.estimator));
+        answer.result,
+        SvcCorrEstimateGrouped(*exact, *samples, q, opts.estimator));
   }
   return answer;
 }

@@ -179,8 +179,9 @@ class ShardedEngine {
   size_t PendingRowsFor(const ShardedSnapshot& snap,
                         const std::string& relation) const;
 
-  /// Enables/disables every shard's sample cache (new statements fork from
-  /// the current heads, so this takes effect at the next commit; call it
+  /// Enables/disables every shard's sample cache, and with it the shards'
+  /// and the coordinator's stale-side memos (new statements fork from the
+  /// current heads, so this takes effect at the next commit; call it
   /// before serving).
   void set_sample_cache_enabled(bool enabled);
 
@@ -223,6 +224,13 @@ class ShardedEngine {
   /// numbers are shard-count-invariant.
   std::map<std::string, ViewCacheStats> CoordinatorCacheStats(
       const ShardedSnapshot& snap) const;
+
+  /// Lookup counters of the coordinator's stale-side memo (q(S) over
+  /// gathered partitioned-class views). Each shard's engine lineage keeps
+  /// its own memo for η (EngineSnapshot::engine.StaleMemoStats()).
+  StaleMemo::Stats CoordinatorStaleMemoStats() const {
+    return stale_memo_.stats();
+  }
 
   /// Runs `fn` with the statement lock held, so validation done inside
   /// `fn` against `Snapshot()` cannot race another session's write landing
@@ -267,6 +275,13 @@ class ShardedEngine {
       const AggregateQuery& q, const SvcQueryOptions& opts,
       EstimatorMode* mode_used) const;
 
+  /// The coordinator memo when `snap`'s sample caches are on, else null
+  /// (every shard's switch is identical; shard 0's is read).
+  StaleMemo* CoordinatorMemo(const ShardedSnapshot& snap) const {
+    return snap.shards[0]->engine.sample_cache_enabled() ? &stale_memo_
+                                                          : nullptr;
+  }
+
   std::vector<std::unique_ptr<SharedEngine>> shards_;
 
   /// Serializes statements (writes + DDL). Recursive so WithStatementLock
@@ -283,6 +298,10 @@ class ShardedEngine {
   };
   mutable std::mutex gather_mu_;
   mutable std::map<std::string, GatherEntry> gather_cache_;
+
+  /// q(S) over gathered views, validated by the merged table's identity
+  /// (GatherTable installs a new object whenever a shard part changes).
+  mutable StaleMemo stale_memo_;
 
   /// Logical serving counters for partitioned-class views (one event per
   /// coordinator fan-out; see CoordinatorCacheStats).

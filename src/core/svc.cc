@@ -10,6 +10,7 @@ SvcEngine::SvcEngine(const SvcEngine& other)
       pending_(other.pending_),
       exec_options_(other.exec_options_),
       maintenance_policy_(other.maintenance_policy_),
+      stale_memo_(other.stale_memo_),
       sample_cache_enabled_(other.sample_cache_enabled_) {
   // The pending-queue copy sealed other's tails into fresh chunks; sync the
   // forked catalog so maintenance/cleaning plans built on this engine can
@@ -176,8 +177,9 @@ SvcEngine::CleanSampleCached(const std::string& name, const CleanOptions& opts,
     sample_cache_->RecordAdvance(name);
     if (outcome != nullptr) *outcome = CacheOutcome::kAdvance;
   } else {
-    SVC_ASSIGN_OR_RETURN(CorrespondingSamples cold,
-                         CleanViewSample(*view, pending_, db_, opts));
+    SVC_ASSIGN_OR_RETURN(
+        CorrespondingSamples cold,
+        MemoCleanViewSample(stale_memo_.get(), *view, pending_, db_, opts));
     samples = std::make_shared<const CorrespondingSamples>(std::move(cold));
     sample_cache_->RecordFullClean(name);
   }
@@ -212,9 +214,11 @@ Result<SvcAnswer> SvcEngine::Query(const std::string& name,
     SVC_ASSIGN_OR_RETURN(answer.estimate,
                          SvcAqpEstimate(*samples, q, opts.estimator));
   } else {
-    SVC_ASSIGN_OR_RETURN(const Table* stale, db_.GetTable(name));
+    SVC_ASSIGN_OR_RETURN(
+        double exact,
+        MemoExactAggregate(memo(), name, db_.GetTableShared(name), q));
     SVC_ASSIGN_OR_RETURN(answer.estimate,
-                         SvcCorrEstimate(*stale, *samples, q, opts.estimator));
+                         SvcCorrEstimate(exact, *samples, q, opts.estimator));
   }
   return answer;
 }
@@ -230,10 +234,13 @@ Result<SvcGroupedAnswer> SvcEngine::QueryGrouped(
         answer.result,
         SvcAqpEstimateGrouped(*samples, group_columns, q, opts.estimator));
   } else {
-    SVC_ASSIGN_OR_RETURN(const Table* stale, db_.GetTable(name));
     SVC_ASSIGN_OR_RETURN(
-        answer.result, SvcCorrEstimateGrouped(*stale, *samples, group_columns,
-                                              q, opts.estimator));
+        std::shared_ptr<const GroupedResult> exact,
+        MemoExactAggregateGrouped(memo(), name, db_.GetTableShared(name),
+                                  group_columns, q));
+    SVC_ASSIGN_OR_RETURN(
+        answer.result,
+        SvcCorrEstimateGrouped(*exact, *samples, q, opts.estimator));
   }
   return answer;
 }

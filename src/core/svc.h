@@ -13,6 +13,7 @@
 #include "core/maintenance_policy.h"
 #include "core/policy.h"
 #include "core/sample_cache.h"
+#include "core/stale_memo.h"
 #include "relational/database.h"
 #include "sample/cleaner.h"
 #include "view/delta.h"
@@ -163,8 +164,9 @@ class SvcEngine {
   /// (view, ratio, family) and revalidate against the engine version, so
   /// repeated queries between mutations pay only the estimator, and the
   /// first query after an ingest advances the cached sample incrementally
-  /// when AdvanceCleanedSamples' gates allow. Answers are bit-identical
-  /// with the cache on or off (enforced by tests/test_differential.cc).
+  /// when AdvanceCleanedSamples' gates allow. The switch also covers the
+  /// stale-side memo (StaleMemoStats). Answers are bit-identical with the
+  /// cache on or off (enforced by tests/test_differential.cc).
   void set_sample_cache_enabled(bool enabled) {
     sample_cache_enabled_ = enabled;
   }
@@ -176,6 +178,11 @@ class SvcEngine {
   std::map<std::string, ViewCacheStats> CacheStats() const {
     return sample_cache_->StatsSnapshot();
   }
+
+  /// Lookup counters of this lineage's stale-side memo (q(S) and η over
+  /// committed tables; core/stale_memo.h), shared by every fork. Only
+  /// consulted while the sample cache is enabled; in-process only.
+  StaleMemo::Stats StaleMemoStats() const { return stale_memo_->stats(); }
 
   /// The memoized corresponding samples for a query against `name`,
   /// populated (or advanced, or revalidated) through the cache. This is
@@ -224,6 +231,12 @@ class SvcEngine {
       const std::string& name, const AggregateQuery& q,
       const SvcQueryOptions& opts, EstimatorMode* mode_used) const;
 
+  /// The stale-side memo when the sample cache is on, else null (the
+  /// cache-off engine computes q(S) and η itself).
+  StaleMemo* memo() const {
+    return sample_cache_enabled_ ? stale_memo_.get() : nullptr;
+  }
+
   Database db_;
   std::map<std::string, MaterializedView> views_;
   DeltaSet pending_;
@@ -234,6 +247,10 @@ class SvcEngine {
   /// a fresh cache and copies the entries (see SampleCache::CopyFrom).
   std::shared_ptr<SampleCache> sample_cache_ =
       std::make_shared<SampleCache>();
+  /// Shared with every fork: a table's identity fixes its contents, so a
+  /// result computed on any fork is valid on every fork that still holds
+  /// the same table object (see StaleMemo).
+  std::shared_ptr<StaleMemo> stale_memo_ = std::make_shared<StaleMemo>();
   bool sample_cache_enabled_ = true;
 };
 

@@ -49,17 +49,27 @@ Result<std::vector<std::string>> SamplingKeyInChangeTable(
   return out;
 }
 
+/// Ŝ's plan: η over the stored view.
+PlanPtr StaleSamplePlan(const MaterializedView& view,
+                        const CleanOptions& opts) {
+  return PlanNode::HashFilter(PlanNode::Scan(view.name()),
+                              view.sampling_key(), opts.ratio, opts.family);
+}
+
+/// Runs `plan` and keys the result on the view's stored primary key.
+Result<Table> ExecuteKeyed(const PlanNode& plan, const MaterializedView& view,
+                           const Database& db, ExecOptions exec) {
+  SVC_ASSIGN_OR_RETURN(Table out, ExecutePlan(plan, db, exec));
+  SVC_RETURN_IF_ERROR(out.SetPrimaryKey(view.stored_pk()));
+  return out;
+}
+
 }  // namespace
 
 Result<Table> MaterializeStaleSample(const MaterializedView& view,
                                      const Database& db,
                                      const CleanOptions& opts) {
-  PlanPtr plan = PlanNode::HashFilter(PlanNode::Scan(view.name()),
-                                      view.sampling_key(), opts.ratio,
-                                      opts.family);
-  SVC_ASSIGN_OR_RETURN(Table sample, ExecutePlan(*plan, db, opts.exec));
-  SVC_RETURN_IF_ERROR(sample.SetPrimaryKey(view.stored_pk()));
-  return sample;
+  return ExecuteKeyed(*StaleSamplePlan(view, opts), view, db, opts.exec);
 }
 
 namespace {
@@ -127,9 +137,7 @@ Result<Table> CleanViewByKeys(const MaterializedView& view,
   };
   SVC_ASSIGN_OR_RETURN(
       PlanPtr c, BuildFilteredCleaningPlan(view, deltas, db, factory, report));
-  SVC_ASSIGN_OR_RETURN(Table fresh, ExecutePlan(*c, db, exec));
-  SVC_RETURN_IF_ERROR(fresh.SetPrimaryKey(view.stored_pk()));
-  return fresh;
+  return ExecuteKeyed(*c, view, db, exec);
 }
 
 Result<Table> StaleViewRowsByKeys(const MaterializedView& view,
@@ -138,8 +146,33 @@ Result<Table> StaleViewRowsByKeys(const MaterializedView& view,
                                   ExecOptions exec) {
   PlanPtr plan = PlanNode::KeySetFilter(PlanNode::Scan(view.name()),
                                         view.sampling_key(), std::move(keys));
-  SVC_ASSIGN_OR_RETURN(Table out, ExecutePlan(*plan, db, exec));
-  SVC_RETURN_IF_ERROR(out.SetPrimaryKey(view.stored_pk()));
+  return ExecuteKeyed(*plan, view, db, exec);
+}
+
+Result<CleaningPlans> BuildCleaningPlans(const MaterializedView& view,
+                                         const DeltaSet& deltas,
+                                         const Database& db,
+                                         const CleanOptions& opts,
+                                         PushdownReport* report) {
+  CleaningPlans plans;
+  plans.stale = StaleSamplePlan(view, opts);
+  SVC_ASSIGN_OR_RETURN(plans.fresh,
+                       BuildCleaningPlan(view, deltas, db, opts, report));
+  return plans;
+}
+
+Result<CorrespondingSamples> ExecuteCleaningPlans(const MaterializedView& view,
+                                                  const CleaningPlans& plans,
+                                                  const Database& db,
+                                                  const CleanOptions& opts) {
+  CorrespondingSamples out;
+  out.ratio = opts.ratio;
+  out.family = opts.family;
+  out.key_columns = view.sampling_key();
+  SVC_ASSIGN_OR_RETURN(out.stale,
+                       ExecuteKeyed(*plans.stale, view, db, opts.exec));
+  SVC_ASSIGN_OR_RETURN(out.fresh,
+                       ExecuteKeyed(*plans.fresh, view, db, opts.exec));
   return out;
 }
 
@@ -148,16 +181,9 @@ Result<CorrespondingSamples> CleanViewSample(const MaterializedView& view,
                                              const Database& db,
                                              const CleanOptions& opts,
                                              PushdownReport* report) {
-  CorrespondingSamples out;
-  out.ratio = opts.ratio;
-  out.family = opts.family;
-  out.key_columns = view.sampling_key();
-  SVC_ASSIGN_OR_RETURN(out.stale, MaterializeStaleSample(view, db, opts));
-  SVC_ASSIGN_OR_RETURN(PlanPtr c,
-                       BuildCleaningPlan(view, deltas, db, opts, report));
-  SVC_ASSIGN_OR_RETURN(out.fresh, ExecutePlan(*c, db, opts.exec));
-  SVC_RETURN_IF_ERROR(out.fresh.SetPrimaryKey(view.stored_pk()));
-  return out;
+  SVC_ASSIGN_OR_RETURN(CleaningPlans plans,
+                       BuildCleaningPlans(view, deltas, db, opts, report));
+  return ExecuteCleaningPlans(view, plans, db, opts);
 }
 
 namespace {

@@ -74,6 +74,26 @@ Result<PlanPtr> BuildCleaningPlan(const MaterializedView& view,
                                   const CleanOptions& opts,
                                   PushdownReport* report = nullptr);
 
+/// The two plans one CleanViewSample run executes.
+struct CleaningPlans {
+  PlanPtr stale;  ///< η over the stored view, producing Ŝ
+  PlanPtr fresh;  ///< the cleaning expression C, producing Ŝ'
+};
+
+/// CleanViewSample split in two, so a caller can rewrite the plans' leaves
+/// between building and running them (core/stale_memo.h serves η over
+/// committed tables from a memo). Building then executing against the
+/// same `db` is exactly CleanViewSample.
+Result<CleaningPlans> BuildCleaningPlans(const MaterializedView& view,
+                                         const DeltaSet& deltas,
+                                         const Database& db,
+                                         const CleanOptions& opts,
+                                         PushdownReport* report = nullptr);
+Result<CorrespondingSamples> ExecuteCleaningPlans(const MaterializedView& view,
+                                                  const CleaningPlans& plans,
+                                                  const Database& db,
+                                                  const CleanOptions& opts);
+
 /// Key-set variant of cleaning, used by the outlier-index push-up
 /// (Definition 5): instead of a hash sample, materializes exactly the
 /// up-to-date view rows whose sampling-key value is in `keys` (encoded with

@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "relational/algebra.h"
+#include "relational/encode.h"
 #include "relational/expr.h"
 #include "relational/schema.h"
 #include "relational/table.h"
@@ -26,15 +27,8 @@ namespace svc {
 /// type tag and, for doubles, its exact IEEE bit pattern (NaNs and -0.0
 /// included). All integers are fixed-width little-endian.
 
-// ---- Primitive writers (append to *out) -----------------------------------
-void PutU8(std::string* out, uint8_t v);
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
-void PutI64(std::string* out, int64_t v);
-/// Raw IEEE-754 bits; round-trips NaN payloads and signed zeros.
-void PutF64(std::string* out, double v);
-/// u32 length prefix + bytes.
-void PutStr(std::string* out, std::string_view v);
+// The writers (PutU8 ... PutStr, EncodeValue, EncodeExpr) live in
+// relational/encode.h; the decoders below are their inverses.
 
 /// Bounds-checked sequential reader over an encoded buffer. Every getter
 /// fails with InvalidArgument("truncated ...") instead of reading past the
@@ -69,7 +63,6 @@ class ByteReader {
 uint32_t Crc32(std::string_view data);
 
 // ---- Relational serde ------------------------------------------------------
-void EncodeValue(const Value& v, std::string* out);
 Result<Value> DecodeValue(ByteReader* r);
 
 void EncodeRow(const Row& row, std::string* out);
@@ -85,7 +78,6 @@ void EncodeTable(const Table& t, std::string* out);
 Result<Table> DecodeTable(ByteReader* r);
 
 // ---- Plan / expression serde ----------------------------------------------
-void EncodeExpr(const Expr& e, std::string* out);
 Result<ExprPtr> DecodeExpr(ByteReader* r);
 
 /// Fails with NotSupported for kHashFilter nodes carrying a runtime

@@ -38,9 +38,16 @@ constexpr int kBatch = 30;        // insert rows per ingest commit
 constexpr int kGroups = 6;
 constexpr int64_t kInitialRows = 600;
 
-constexpr char kQuerySql[] =
-    "SELECT SUM(sv) AS x FROM V WHERE c > 2 "
-    "WITH SVC(ratio=0.5, mode=corr)";
+/// The readers alternate between a scalar and a grouped CORR statement.
+/// Every fork of the engine shares one stale-side memo (q(S) and η over
+/// committed tables), so under TSan this races memo population across the
+/// writer's ingest and REFRESH forks.
+constexpr const char* kQueries[] = {
+    "SELECT SUM(sv) AS x FROM V WHERE c > 2 WITH SVC(ratio=0.5, mode=corr)",
+    "SELECT g, SUM(sv) AS x FROM V WHERE c > 2 GROUP BY g "
+    "WITH SVC(ratio=0.5, mode=corr)",
+};
+constexpr size_t kNumQueries = sizeof(kQueries) / sizeof(kQueries[0]);
 
 Row MakeFactRow(int64_t id, Rng* rng) {
   return {Value::Int(id), Value::Int(rng->UniformInt(1, kGroups)),
@@ -101,6 +108,7 @@ DeltaSet MakeBatch(const Database& db, const std::vector<Row>& initial,
 /// the ISSUE's "pre- or post-commit snapshot, never a torn read" check.
 /// When the two samples agree the match is exact.
 struct Observation {
+  size_t query = 0;  // index into kQueries
   uint64_t epoch_before = 0;
   uint64_t epoch_after = 0;
   std::vector<std::string> rows;
@@ -115,14 +123,20 @@ TEST(ConcurrentEngineTest, ReadersSeeOnlyCommittedEpochsDuringRefresh) {
   // epoch 2r+2 = maintenance commit.
   SvcEngine replica = BuildInitialEngine();
   auto shared = std::make_shared<SharedEngine>(SvcEngine(replica));
-  std::vector<std::vector<std::string>> expected;
+  // expected[epoch][query]: the encoded answer rows.
+  std::vector<std::vector<std::vector<std::string>>> expected;
   // Answers come from a fresh private session per epoch (a CoW copy of the
   // replica), so no session state leaks between epochs.
   auto answer_of = [&](const SvcEngine& engine) {
     SqlSession session{SvcEngine(engine)};
-    auto r = session.Execute(kQuerySql);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return r.ok() ? EncodedRows(r.value().rows) : std::vector<std::string>();
+    std::vector<std::vector<std::string>> answers;
+    for (const char* sql : kQueries) {
+      auto r = session.Execute(sql);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      answers.push_back(r.ok() ? EncodedRows(r.value().rows)
+                               : std::vector<std::string>());
+    }
+    return answers;
   };
   expected.push_back(answer_of(replica));  // epoch 0
   for (int round = 0; round < kRounds; ++round) {
@@ -145,10 +159,12 @@ TEST(ConcurrentEngineTest, ReadersSeeOnlyCommittedEpochsDuringRefresh) {
     readers.emplace_back([&, t] {
       SqlSession session(shared);
       bool counted = false;
+      size_t next_query = static_cast<size_t>(t);
       auto observe = [&]() -> bool {
         Observation obs;
+        obs.query = next_query++ % kNumQueries;
         obs.epoch_before = shared->epoch();
-        auto r = session.Execute(kQuerySql);
+        auto r = session.Execute(kQueries[obs.query]);
         obs.epoch_after = shared->epoch();
         if (!r.ok()) {
           obs.error = r.status().ToString();
@@ -212,7 +228,7 @@ TEST(ConcurrentEngineTest, ReadersSeeOnlyCommittedEpochsDuringRefresh) {
       bool matched = false;
       for (uint64_t e = obs.epoch_before; e <= obs.epoch_after && !matched;
            ++e) {
-        if (obs.rows == expected[e]) {
+        if (obs.rows == expected[e][obs.query]) {
           matched = true;
           ++epochs_matched[e];
         }

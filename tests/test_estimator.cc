@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
 #include "core/estimator.h"
@@ -290,6 +291,57 @@ TEST(GroupedTest, ExactGroupedMatchesPerGroupScan) {
     SVC_ASSERT_OK_AND_ASSIGN(double want, ExactAggregate(pop, qq));
     EXPECT_DOUBLE_EQ(g.estimates[i].value, want);
   }
+}
+
+TEST(GroupedTest, ExactGroupedIsScalarExactOverEachGroupsRows) {
+  // Every aggregate function, with and without a predicate, over a column
+  // with NULLs: each group's value must be ExactAggregate over exactly that
+  // group's rows, bit for bit, and carry no CI.
+  Rng rng(7);
+  Table pop(Schema({{"", "id", ValueType::kInt},
+                    {"", "val", ValueType::kDouble},
+                    {"", "grp", ValueType::kInt}}));
+  SVC_ASSERT_OK(pop.SetPrimaryKey({"id"}));
+  for (int64_t i = 0; i < 600; ++i) {
+    Value val = Value::Double(rng.Uniform(0, 10));
+    if (rng.UniformInt(0, 9) == 0) val = Value::Null();
+    SVC_ASSERT_OK(
+        pop.Insert({Value::Int(i), val, Value::Int(rng.UniformInt(0, 6))}));
+  }
+  const AggFunc funcs[] = {AggFunc::kSum, AggFunc::kCount,
+                           AggFunc::kCountStar, AggFunc::kAvg,
+                           AggFunc::kMin, AggFunc::kMax, AggFunc::kMedian};
+  const ExprPtr below7 = Expr::Lt(Expr::Col("val"), Expr::LitDouble(7));
+  for (AggFunc f : funcs) {
+    for (bool with_pred : {false, true}) {
+      SCOPED_TRACE(std::string(AggFuncName(f)) +
+                   (with_pred ? " WHERE val < 7" : ""));
+      AggregateQuery q;
+      q.func = f;
+      if (f != AggFunc::kCountStar) q.attr = Expr::Col("val");
+      if (with_pred) q.predicate = below7;
+      SVC_ASSERT_OK_AND_ASSIGN(GroupedResult g,
+                               ExactAggregateGrouped(pop, {"grp"}, q));
+      ASSERT_EQ(g.group_keys.size(), 7u);
+      for (size_t k = 0; k < g.group_keys.size(); ++k) {
+        Table rows(pop.schema());
+        for (const Row& r : pop.rows()) {
+          if (r[2] == g.group_keys[k][0]) rows.AppendUnchecked(r);
+        }
+        SVC_ASSERT_OK_AND_ASSIGN(double want, ExactAggregate(rows, q));
+        const double got = g.estimates[k].value;
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << "group " << g.group_keys[k][0].ToString() << ": " << got
+            << " vs " << want;
+        EXPECT_FALSE(g.estimates[k].has_ci);
+        EXPECT_EQ(g.estimates[k].sample_rows, rows.NumRows());
+      }
+    }
+  }
+  // Functions without an exact evaluator fail the same way grouped.
+  AggregateQuery distinct{AggFunc::kCountDistinct, Expr::Col("val"), nullptr};
+  EXPECT_FALSE(ExactAggregate(pop, distinct).ok());
+  EXPECT_FALSE(ExactAggregateGrouped(pop, {"grp"}, distinct).ok());
 }
 
 TEST(GroupedTest, AqpGroupedNearExact) {
