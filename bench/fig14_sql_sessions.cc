@@ -109,7 +109,7 @@ struct WorkloadParams {
 
 /// One session's workload via the SQL layer. Returns statements executed.
 size_t RunSqlSession(const WorkloadParams& p, uint64_t seed) {
-  SqlSession session(BuildBaseDb(p.rows, seed));
+  SqlSession session(EngineHandle::Private(BuildBaseDb(p.rows, seed)));
   bench::CheckOk(
       session.Execute(std::string("CREATE MATERIALIZED VIEW visitView AS ") +
                       kViewSql)
@@ -199,7 +199,7 @@ SharedRunStats RunSharedWorkload(const WorkloadParams& p, int readers,
     }), "disable cache");
   }
   {
-    SqlSession admin(shared);
+    SqlSession admin(EngineHandle::Shared(shared));
     bench::CheckOk(
         admin
             .Execute(std::string("CREATE MATERIALIZED VIEW visitView AS ") +
@@ -227,7 +227,7 @@ SharedRunStats RunSharedWorkload(const WorkloadParams& p, int readers,
   SharedRunStats stats;
   if (with_writer) {
     writer = std::thread([&] {
-      SqlSession session(shared);
+      SqlSession session(EngineHandle::Shared(shared));
       Rng rng(0x5e551055);
       Zipfian popularity(200, 1.1);
       // Ids continue after the stale-seed batch ingested above.
@@ -256,7 +256,7 @@ SharedRunStats RunSharedWorkload(const WorkloadParams& p, int readers,
   threads.reserve(readers);
   for (int t = 0; t < readers; ++t) {
     threads.emplace_back([&] {
-      SqlSession session(shared);
+      SqlSession session(EngineHandle::Shared(shared));
       for (size_t i = 0; i < queries_per_reader; ++i) {
         auto q = session.Execute(
             "SELECT COUNT(1) FROM visitView WHERE visitCount > 100 "

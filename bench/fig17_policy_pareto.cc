@@ -127,7 +127,7 @@ size_t SetUpReplica(SqlSession* session, const Params& p) {
 /// round. A refreshed view has nothing pending, so its SVC answer is the
 /// exact aggregate.
 std::vector<std::vector<double>> ComputeTruth(const Params& p) {
-  SqlSession oracle{Database()};
+  SqlSession oracle(EngineHandle::Private());
   SetUpReplica(&oracle, p);
   std::vector<std::vector<double>> truth(p.rounds);
   for (int round = 0; round < p.rounds; ++round) {
@@ -161,7 +161,7 @@ ArmResult RunArm(const Params& p,
                  int fixed_every, const std::string& policy_sql,
                  const std::string& param_label) {
   auto shared = std::make_shared<SharedEngine>(Database());
-  SqlSession session(shared);
+  SqlSession session(EngineHandle::Shared(shared));
   ArmResult out;
   out.arm = fixed_every > 0 ? "fixed" : "policy";
   out.param = param_label;

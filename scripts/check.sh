@@ -11,20 +11,21 @@
 #           (the shared-engine concurrency tests are the point); skips the
 #           Release/ASan builds and the bench gate. Used by the CI tsan job.
 #   --server  network-server mode ONLY: protocol + server test suites, a
-#           svc_served round-trip smoke (svc_shell --connect must reproduce
-#           the quickstart golden bit-identically over the wire), and a
-#           fig14 --net serving smoke. Used by the CI server job.
+#           svc_served round-trip smoke on the shared AND the 4-shard engine
+#           (svc_shell --connect must reproduce the quickstart golden
+#           bit-identically over the wire), and a fig14 --net serving
+#           smoke. Used by the CI server job.
 #   --recovery  durability mode ONLY: the storage/WAL/recovery test suite
 #           (serde, WAL framing, kill-and-recover differential matrix) in
 #           both Release and Debug+ASan/UBSan builds, plus a durable
 #           svc_shell crash-and-restart smoke. Used by the CI recovery job.
 #   --shards  sharded scatter-gather mode ONLY: the shard suites (sharded
 #           engine, estimator merge, differential shard matrix, sharded
-#           coverage, sharded stats invariance), the sharded quickstart
-#           golden (enforced at --shards 2 AND 4 — SHOW STATS counters are
-#           logical, so the whole transcript is shard-count-invariant),
-#           and a full-transcript invariance smoke at 1, 2, and 8 shards.
-#           Used by the CI shards job.
+#           coverage, sharded stats invariance), the quickstart golden on
+#           the sharded engine (enforced at --shards 2 AND 4 — SHOW STATS
+#           counters are logical, so the whole transcript matches the
+#           unsharded one), and a full-transcript smoke at 1, 2, and 8
+#           shards. Used by the CI shards job.
 #   --policy  maintenance-policy mode ONLY: the policy suites (cost model,
 #           scheduler differential, sharded stats), the policy quickstart
 #           golden on the private AND sharded engines, and the
@@ -112,26 +113,34 @@ if [[ "$SERVER" -eq 1 ]]; then
 
   echo "== svc_served wire round-trip smoke (quickstart golden) =="
   SMOKE_DIR="$(mktemp -d)"
-  ./build/svc_served --host 127.0.0.1 --port 0 \
-    --port-file "$SMOKE_DIR/port" 2> "$SMOKE_DIR/served.log" &
-  SERVER_PID=$!
-  trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$SMOKE_DIR"' EXIT
-  for _ in $(seq 1 100); do
-    [[ -s "$SMOKE_DIR/port" ]] && break
-    sleep 0.1
+  SERVER_PID=""
+  trap 'if [[ -n "$SERVER_PID" ]]; then kill "$SERVER_PID" 2>/dev/null || true; fi; rm -rf "$SMOKE_DIR"' EXIT
+  # The same golden over the shared engine and the 4-shard engine.
+  for flags in "" "--shards 4"; do
+    rm -f "$SMOKE_DIR/port"
+    # shellcheck disable=SC2086  # $flags is a deliberately split flag list
+    ./build/svc_served --host 127.0.0.1 --port 0 $flags \
+      --port-file "$SMOKE_DIR/port" 2> "$SMOKE_DIR/served.log" &
+    SERVER_PID=$!
+    for _ in $(seq 1 100); do
+      [[ -s "$SMOKE_DIR/port" ]] && break
+      sleep 0.1
+    done
+    if [[ ! -s "$SMOKE_DIR/port" ]]; then
+      echo "svc_served $flags never wrote its port file:" >&2
+      cat "$SMOKE_DIR/served.log" >&2
+      exit 1
+    fi
+    PORT="$(cat "$SMOKE_DIR/port")"
+    ./build/svc_shell --connect "127.0.0.1:$PORT" --echo \
+      --file examples/quickstart.sql > "$SMOKE_DIR/out.txt"
+    diff -u examples/quickstart.golden "$SMOKE_DIR/out.txt"
+    echo "quickstart golden reproduced bit-identically over the wire" \
+      "(svc_served ${flags:-shared})"
+    kill "$SERVER_PID"
+    wait "$SERVER_PID" 2>/dev/null || true
+    SERVER_PID=""
   done
-  if [[ ! -s "$SMOKE_DIR/port" ]]; then
-    echo "svc_served never wrote its port file:" >&2
-    cat "$SMOKE_DIR/served.log" >&2
-    exit 1
-  fi
-  PORT="$(cat "$SMOKE_DIR/port")"
-  ./build/svc_shell --connect "127.0.0.1:$PORT" --echo \
-    --file examples/quickstart.sql > "$SMOKE_DIR/out.txt"
-  diff -u examples/quickstart.golden "$SMOKE_DIR/out.txt"
-  echo "quickstart golden reproduced bit-identically over the wire"
-  kill "$SERVER_PID"
-  wait "$SERVER_PID" 2>/dev/null || true
 
   echo "== Network serving smoke (fig14 --net) =="
   ./build/fig14_sql_sessions --rows 2000 --sessions 2 --iters 2 --batch 40 \
@@ -152,16 +161,16 @@ if [[ "$SHARDS" -eq 1 ]]; then
   echo "== Shard-count invariance smoke (full transcript at 1, 2, 8 shards) =="
   # The whole transcript — answers AND SHOW STATS, whose counters are
   # logical per-statement quantities rather than per-shard sums — must be
-  # byte-identical to the committed golden at any shard count. (ctest
-  # above already enforces 2 and 4.)
+  # byte-identical to the unsharded quickstart golden at any shard count.
+  # (ctest above already enforces 2 and 4.)
   SMOKE_DIR="$(mktemp -d)"
   trap 'rm -rf "$SMOKE_DIR"' EXIT
   for n in 1 2 8; do
     ./build/svc_shell --shards "$n" --echo \
-      --file examples/quickstart-sharded.sql > "$SMOKE_DIR/out-$n.txt"
-    diff -u examples/quickstart-sharded.golden "$SMOKE_DIR/out-$n.txt"
+      --file examples/quickstart.sql > "$SMOKE_DIR/out-$n.txt"
+    diff -u examples/quickstart.golden "$SMOKE_DIR/out-$n.txt"
   done
-  echo "transcript is shard-count invariant"
+  echo "transcript is shard-count invariant and matches the unsharded golden"
 
   echo "All sharded checks passed."
   exit 0

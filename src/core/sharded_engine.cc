@@ -52,13 +52,15 @@ ShardedSnapshotPtr ShardedEngine::Snapshot() const {
   return head_;
 }
 
-void ShardedEngine::PublishLocked(std::shared_ptr<const ShardMeta> meta) {
+void ShardedEngine::PublishLocked(std::shared_ptr<const ShardMeta> meta,
+                                  uint64_t delta_mutations) {
   auto next = std::make_shared<ShardedSnapshot>();
   next->meta = std::move(meta);
   next->shards.reserve(shards_.size());
   for (auto& shard : shards_) next->shards.push_back(shard->Snapshot());
   std::lock_guard<std::mutex> lock(head_mu_);
   next->version = head_->version + 1;
+  next->delta_version = head_->delta_version + delta_mutations;
   head_ = std::move(next);
 }
 
@@ -223,11 +225,12 @@ Status ShardedEngine::CreateView(const std::string& name, PlanPtr definition,
   return Status::OK();
 }
 
-Status ShardedEngine::InsertRows(const std::string& relation,
-                                 std::vector<Row> rows) {
+Status ShardedEngine::QueueRows(const std::string& relation,
+                                std::vector<Row> rows, bool deletes) {
   std::lock_guard<std::recursive_mutex> stmt(stmt_mu_);
   ShardedSnapshotPtr snap = Snapshot();
   const size_t n = shards_.size();
+  const uint64_t logical_rows = rows.size();
   auto rit = snap->meta->routing.find(relation);
   const bool partitioned =
       rit != snap->meta->routing.end() && rit->second.partitioned();
@@ -243,13 +246,19 @@ Status ShardedEngine::InsertRows(const std::string& relation,
     if (batch.empty()) continue;
     SVC_RETURN_IF_ERROR(shards_[s]->Commit([&](SvcEngine* e) -> Status {
       for (const Row& r : batch) {
-        SVC_RETURN_IF_ERROR(e->InsertRecord(relation, r));
+        SVC_RETURN_IF_ERROR(deletes ? e->DeleteRecord(relation, r)
+                                    : e->InsertRecord(relation, r));
       }
       return Status::OK();
     }));
   }
-  PublishLocked(snap->meta);
+  PublishLocked(snap->meta, logical_rows);
   return Status::OK();
+}
+
+Status ShardedEngine::InsertRows(const std::string& relation,
+                                 std::vector<Row> rows) {
+  return QueueRows(relation, std::move(rows), /*deletes=*/false);
 }
 
 Status ShardedEngine::InsertRecord(const std::string& relation, Row row) {
@@ -260,31 +269,7 @@ Status ShardedEngine::InsertRecord(const std::string& relation, Row row) {
 
 Status ShardedEngine::DeleteRows(const std::string& relation,
                                  std::vector<Row> rows) {
-  std::lock_guard<std::recursive_mutex> stmt(stmt_mu_);
-  ShardedSnapshotPtr snap = Snapshot();
-  const size_t n = shards_.size();
-  auto rit = snap->meta->routing.find(relation);
-  const bool partitioned =
-      rit != snap->meta->routing.end() && rit->second.partitioned();
-  std::vector<std::vector<Row>> groups(n);
-  if (partitioned) {
-    for (Row& r : rows) {
-      const size_t owner = OwnerShard(EncodeRowKey(r, rit->second.columns));
-      groups[owner].push_back(std::move(r));
-    }
-  }
-  for (size_t s = 0; s < n; ++s) {
-    const std::vector<Row>& batch = partitioned ? groups[s] : rows;
-    if (batch.empty()) continue;
-    SVC_RETURN_IF_ERROR(shards_[s]->Commit([&](SvcEngine* e) -> Status {
-      for (const Row& r : batch) {
-        SVC_RETURN_IF_ERROR(e->DeleteRecord(relation, r));
-      }
-      return Status::OK();
-    }));
-  }
-  PublishLocked(snap->meta);
-  return Status::OK();
+  return QueueRows(relation, std::move(rows), /*deletes=*/true);
 }
 
 Status ShardedEngine::Refresh(size_t* committed_inserts,
@@ -302,7 +287,7 @@ Status ShardedEngine::Refresh(size_t* committed_inserts,
   ParallelFor(static_cast<int>(n), n,
               [&](size_t s) { statuses[s] = shards_[s]->Refresh(); });
   for (const Status& st : statuses) SVC_RETURN_IF_ERROR(st);
-  PublishLocked(snap->meta);
+  PublishLocked(snap->meta, /*delta_mutations=*/1);
   if (committed_inserts != nullptr) *committed_inserts = ins;
   if (committed_deletes != nullptr) *committed_deletes = del;
   return Status::OK();

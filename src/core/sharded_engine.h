@@ -62,6 +62,11 @@ struct ShardMeta {
 struct ShardedSnapshot {
   /// Monotonic statement counter: +1 per published statement.
   uint64_t version = 0;
+  /// The logical pending-queue mutation counter — what an unsharded
+  /// engine's DeltaSet::version() reports for the same statement history:
+  /// +1 per row queued by InsertRows / DeleteRows (a replicated row counts
+  /// once, not once per shard), +1 per Refresh.
+  uint64_t delta_version = 0;
   /// One snapshot per shard, in shard-index order.
   std::vector<SnapshotPtr> shards;
   std::shared_ptr<const ShardMeta> meta;
@@ -249,9 +254,17 @@ class ShardedEngine {
   void RecordFanOutOutcome(const std::string& view,
                            const std::vector<CacheOutcome>& outcomes) const;
 
+  /// InsertRows / DeleteRows: routes each row to its owning shard
+  /// (replicated relations broadcast), one commit per involved shard, then
+  /// publishes one cut.
+  Status QueueRows(const std::string& relation, std::vector<Row> rows,
+                   bool deletes);
+
   /// Re-reads every shard's head and publishes them as one cut with
-  /// `meta`. Caller holds stmt_mu_.
-  void PublishLocked(std::shared_ptr<const ShardMeta> meta);
+  /// `meta`, advancing the cut's delta_version by `delta_mutations`.
+  /// Caller holds stmt_mu_.
+  void PublishLocked(std::shared_ptr<const ShardMeta> meta,
+                     uint64_t delta_mutations = 0);
 
   /// The shard owning the encoded routing-key bytes.
   size_t OwnerShard(const std::string& key_bytes) const;

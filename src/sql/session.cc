@@ -69,26 +69,41 @@ std::string FormatEstimateMessage(const AggregateQuery& q,
   return out;
 }
 
-/// Validates CREATE TABLE's column list and PRIMARY KEY clause and builds
-/// the (empty) table; shared by the unsharded and sharded paths.
-Result<Table> BuildTableForCreate(const Statement& stmt) {
-  if (stmt.primary_key.empty()) {
-    return Status::InvalidArgument(
-        "CREATE TABLE " + stmt.target +
-        " requires a PRIMARY KEY (...) clause: the maintenance model "
-        "identifies records by key (paper §3.1)");
-  }
-  Schema schema;
-  for (const auto& col : stmt.columns) {
-    if (schema.Contains(col.name)) {
-      return Status::InvalidArgument("duplicate column '" + col.name +
-                                     "' in CREATE TABLE " + stmt.target);
+/// INSERT row validation: checks arity and value types against `schema`,
+/// widening INT literals into DOUBLE columns in place.
+Status CoerceInsertRows(const Statement& stmt, const Schema& schema,
+                        std::vector<Row>* rows) {
+  for (size_t r = 0; r < rows->size(); ++r) {
+    Row& row = (*rows)[r];
+    if (row.size() != schema.NumColumns()) {
+      std::string cols;
+      for (const auto& c : schema.columns()) {
+        cols += (cols.empty() ? "" : ", ") + c.name;
+      }
+      return Status::InvalidArgument(
+          "INSERT INTO " + stmt.target + " expects " +
+          std::to_string(schema.NumColumns()) + " values (" + cols +
+          "); row " + std::to_string(r + 1) + " has " +
+          std::to_string(row.size()));
     }
-    schema.AddColumn({"", col.name, col.type});
+    for (size_t c = 0; c < row.size(); ++c) {
+      Value& v = row[c];
+      const Column& col = schema.column(c);
+      if (v.is_null()) continue;
+      if (col.type == ValueType::kDouble && v.type() == ValueType::kInt) {
+        v = Value::Double(static_cast<double>(v.AsInt()));  // widen
+        continue;
+      }
+      if (v.type() != col.type) {
+        return Status::InvalidArgument(
+            "INSERT INTO " + stmt.target + " column '" + col.name +
+            "' expects " + ValueTypeName(col.type) + "; row " +
+            std::to_string(r + 1) + " has " + v.ToString() + " (" +
+            ValueTypeName(v.type()) + ")");
+      }
+    }
   }
-  Table table(std::move(schema));
-  SVC_RETURN_IF_ERROR(table.SetPrimaryKey(stmt.primary_key));
-  return table;
+  return Status::OK();
 }
 
 /// Renders SHOW MAINTENANCE: the active policy line as the message plus one
@@ -141,94 +156,59 @@ Result<SqlResult> SqlSession::Execute(const Statement& stmt) {
   if (cancel_ != nullptr) {
     SVC_RETURN_IF_ERROR(cancel_->Check("statement admission"));
   }
-  if (handle_.is_sharded()) return ExecuteSharded(stmt);
-  // Reads run against one consistent version: the owned engine in private
-  // mode, the current published snapshot in shared mode (held alive for
-  // the duration of the statement; concurrent commits don't affect it).
-  SnapshotPtr snap;
-  auto reader = [&]() -> const SvcEngine& {
-    if (!handle_.is_shared()) return *handle_.private_engine();
-    snap = handle_.shared()->Snapshot();
-    return snap->engine;
-  };
+  // Reads run against one consistent cut, held alive for the duration of
+  // the statement (concurrent commits don't affect it); writes run inside
+  // the mode's atomic commit.
   switch (stmt.kind) {
     case Statement::Kind::kSelect:
-      return stmt.svc.present ? ExecSvcSelect(stmt, reader())
-                              : ExecSelect(stmt, reader());
+      return stmt.svc.present ? ExecSvcSelect(stmt, handle_.Read())
+                              : ExecSelect(stmt, handle_.Read());
     case Statement::Kind::kShowTables:
-      return ExecShowTables(reader());
+      return ExecShowTables(handle_.Read());
     case Statement::Kind::kShowViews:
-      return ExecShowViews(reader());
+      return ExecShowViews(handle_.Read());
     case Statement::Kind::kShowStats:
-      return ExecShowStats(reader());
+      return ExecShowStats(handle_.Read());
     case Statement::Kind::kShowMaintenance:
-      return ExecShowMaintenance(reader());
+      return ExecShowMaintenance(handle_.Read());
     case Statement::Kind::kCreateTable:
-      return ExecWrite([&](SvcEngine* e, std::string* wal) {
-        return ExecCreateTable(stmt, e, wal);
-      });
+      return ExecWrite(stmt, &SqlSession::ExecCreateTable);
     case Statement::Kind::kCreateView:
-      return ExecWrite([&](SvcEngine* e, std::string* wal) {
-        return ExecCreateView(stmt, e, wal);
-      });
+      return ExecWrite(stmt, &SqlSession::ExecCreateView);
     case Statement::Kind::kInsert:
-      return ExecWrite([&](SvcEngine* e, std::string* wal) {
-        return ExecInsert(stmt, e, wal);
-      });
+      return ExecWrite(stmt, &SqlSession::ExecInsert);
     case Statement::Kind::kDelete:
-      return ExecWrite([&](SvcEngine* e, std::string* wal) {
-        return ExecDelete(stmt, e, wal);
-      });
+      return ExecWrite(stmt, &SqlSession::ExecDelete);
     case Statement::Kind::kRefresh:
-      return ExecWrite([&](SvcEngine* e, std::string* wal) {
-        return ExecRefresh(stmt, e, wal);
-      });
+      return ExecWrite(stmt, &SqlSession::ExecRefresh);
     case Statement::Kind::kSetPolicy:
-      return ExecWrite([&](SvcEngine* e, std::string* wal) {
-        return ExecSetPolicy(stmt, e, wal);
-      });
+      return ExecWrite(stmt, &SqlSession::ExecSetPolicy);
     case Statement::Kind::kCheckpoint:
       return ExecCheckpoint();
   }
   return Status::Internal("unhandled statement kind");
 }
 
-Result<SqlResult> SqlSession::ExecWrite(
-    const std::function<Result<SqlResult>(SvcEngine*, std::string*)>& fn) {
-  if (handle_.is_durable()) {
-    // One statement = one logged commit: the handler's payload (the
-    // DurableOp it performed) hits the WAL before the commit publishes.
-    std::optional<SqlResult> out;
-    SVC_RETURN_IF_ERROR(handle_.durable()->CommitLogged(
-        [&](SvcEngine* e, std::string* payload) -> Status {
-          auto r = fn(e, payload);
-          if (!r.ok()) return r.status();
-          out = std::move(r).value();
-          return Status::OK();
-        },
-        idem_));
-    return std::move(*out);
-  }
-  if (!handle_.is_shared()) return fn(handle_.private_engine(), nullptr);
-  // One statement = one commit: validation and mutation run on the fork
-  // under the writer lock, so concurrent sessions cannot race a conflicting
-  // write in between, and an error publishes nothing.
+Result<SqlResult> SqlSession::ExecWrite(const Statement& stmt,
+                                        WriteHandler handler) {
   std::optional<SqlResult> out;
-  SVC_RETURN_IF_ERROR(handle_.shared()->Commit([&](SvcEngine* e) -> Status {
-    auto r = fn(e, nullptr);
-    if (!r.ok()) return r.status();
-    out = std::move(r).value();
-    return Status::OK();
-  }));
+  SVC_RETURN_IF_ERROR(handle_.Write(
+      [&](EngineCut& cut) -> Status {
+        SVC_ASSIGN_OR_RETURN(out, (this->*handler)(stmt, cut));
+        return Status::OK();
+      },
+      idem_));
   return std::move(*out);
 }
 
 Result<SqlResult> SqlSession::ExecSelect(const Statement& stmt,
-                                         const SvcEngine& eng) {
-  SVC_ASSIGN_OR_RETURN(PlanPtr plan, PlanSelect(*stmt.select, eng.db()));
-  ExecOptions exec = eng.exec_options();
+                                         const EngineCut& cut) {
+  Database gathered;
+  SVC_ASSIGN_OR_RETURN(const Database* db, cut.SelectDatabase(&gathered));
+  SVC_ASSIGN_OR_RETURN(PlanPtr plan, PlanSelect(*stmt.select, *db));
+  ExecOptions exec = cut.catalog().exec_options();
   exec.cancel = cancel_;
-  SVC_ASSIGN_OR_RETURN(Table out, ExecutePlan(*plan, eng.db(), exec));
+  SVC_ASSIGN_OR_RETURN(Table out, ExecutePlan(*plan, *db, exec));
   SqlResult result;
   result.kind = SqlResultKind::kRows;
   result.message = std::to_string(out.NumRows()) + " row(s)";
@@ -237,25 +217,8 @@ Result<SqlResult> SqlSession::ExecSelect(const Statement& stmt,
 }
 
 Result<SqlResult> SqlSession::ExecSvcSelect(const Statement& stmt,
-                                            const SvcEngine& eng) {
-  return ExecSvcSelectImpl(
-      stmt, eng,
-      [&](const std::string& view, const AggregateQuery& q,
-          const SvcQueryOptions& opts) { return eng.Query(view, q, opts); },
-      [&](const std::string& view, const std::vector<std::string>& groups,
-          const AggregateQuery& q, const SvcQueryOptions& opts) {
-        return eng.QueryGrouped(view, groups, q, opts);
-      });
-}
-
-Result<SqlResult> SqlSession::ExecSvcSelectImpl(
-    const Statement& stmt, const SvcEngine& eng,
-    const std::function<Result<SvcAnswer>(
-        const std::string&, const AggregateQuery&, const SvcQueryOptions&)>&
-        run_query,
-    const std::function<Result<SvcGroupedAnswer>(
-        const std::string&, const std::vector<std::string>&,
-        const AggregateQuery&, const SvcQueryOptions&)>& run_grouped) {
+                                            const EngineCut& cut) {
+  const SvcEngine& catalog = cut.catalog();
   const SelectStmt& sel = *stmt.select;
   if (sel.set_next) {
     return Status::NotSupported(
@@ -268,9 +231,9 @@ Result<SqlResult> SqlSession::ExecSvcSelectImpl(
         "(joins and subqueries belong in the view definition)");
   }
   const std::string& view_name = sel.from[0].table;
-  auto view = eng.GetView(view_name);
+  auto view = catalog.GetView(view_name);
   if (!view.ok()) {
-    if (eng.db().HasTable(view_name)) {
+    if (catalog.db().HasTable(view_name)) {
       return Status::InvalidArgument(
           "WITH SVC corrects stale materialized views, but '" + view_name +
           "' is a base table; query it with a plain SELECT or define a view "
@@ -357,7 +320,7 @@ Result<SqlResult> SqlSession::ExecSvcSelectImpl(
   result.degraded = degraded;
 
   if (sel.group_by.empty()) {
-    SVC_ASSIGN_OR_RETURN(SvcAnswer answer, run_query(view_name, q, opts));
+    SVC_ASSIGN_OR_RETURN(SvcAnswer answer, cut.Query(view_name, q, opts));
     Schema schema;
     AppendEstimateColumns(value_alias, &schema);
     Table out(std::move(schema));
@@ -372,7 +335,8 @@ Result<SqlResult> SqlSession::ExecSvcSelectImpl(
   }
 
   // Grouped path: one estimate per observed group.
-  SVC_ASSIGN_OR_RETURN(const Table* stored, eng.db().GetTable(view_name));
+  SVC_ASSIGN_OR_RETURN(const Table* stored,
+                       catalog.db().GetTable(view_name));
   Schema schema;
   for (const auto& g : sel.group_by) {
     SVC_ASSIGN_OR_RETURN(size_t pos, stored->schema().Resolve(g));
@@ -382,7 +346,7 @@ Result<SqlResult> SqlSession::ExecSvcSelectImpl(
   AppendEstimateColumns(value_alias, &schema);
 
   SVC_ASSIGN_OR_RETURN(SvcGroupedAnswer answer,
-                       run_grouped(view_name, sel.group_by, q, opts));
+                       cut.QueryGrouped(view_name, sel.group_by, q, opts));
   // Sort groups by key for stable, scannable output (estimates are
   // unchanged; the engine's group order is first-encounter).
   std::vector<size_t> order(answer.result.group_keys.size());
@@ -411,18 +375,29 @@ Result<SqlResult> SqlSession::ExecSvcSelectImpl(
 }
 
 Result<SqlResult> SqlSession::ExecCreateTable(const Statement& stmt,
-                                              SvcEngine* eng,
-                                              std::string* wal) {
-  if (eng->db()->HasTable(stmt.target)) {
+                                              EngineCut& cut) {
+  if (cut.catalog().db().HasTable(stmt.target)) {
     return Status::AlreadyExists("table or view already exists: " +
                                  stmt.target);
   }
-  SVC_ASSIGN_OR_RETURN(Table table, BuildTableForCreate(stmt));
-  if (wal != nullptr) {
-    SVC_RETURN_IF_ERROR(
-        EncodeDurableOp(DurableOp::CreateTableOp(stmt.target, table), wal));
+  if (stmt.primary_key.empty()) {
+    return Status::InvalidArgument(
+        "CREATE TABLE " + stmt.target +
+        " requires a PRIMARY KEY (...) clause: the maintenance model "
+        "identifies records by key (paper §3.1)");
   }
-  SVC_RETURN_IF_ERROR(eng->db()->CreateTable(stmt.target, std::move(table)));
+  Schema schema;
+  for (const auto& col : stmt.columns) {
+    if (schema.Contains(col.name)) {
+      return Status::InvalidArgument("duplicate column '" + col.name +
+                                     "' in CREATE TABLE " + stmt.target);
+    }
+    schema.AddColumn({"", col.name, col.type});
+  }
+  Table table(std::move(schema));
+  SVC_RETURN_IF_ERROR(table.SetPrimaryKey(stmt.primary_key));
+  SVC_RETURN_IF_ERROR(
+      cut.Apply(DurableOp::CreateTableOp(stmt.target, std::move(table))));
   SqlResult result;
   result.message = "created table " + stmt.target + " (" +
                    std::to_string(stmt.columns.size()) + " columns)";
@@ -430,34 +405,30 @@ Result<SqlResult> SqlSession::ExecCreateTable(const Statement& stmt,
 }
 
 Result<SqlResult> SqlSession::ExecCreateView(const Statement& stmt,
-                                             SvcEngine* eng,
-                                             std::string* wal) {
-  if (eng->HasView(stmt.target)) {
+                                             EngineCut& cut) {
+  const SvcEngine& catalog = cut.catalog();
+  if (catalog.HasView(stmt.target)) {
     return Status::AlreadyExists("view already exists: " + stmt.target);
   }
-  if (eng->db()->HasTable(stmt.target)) {
+  if (catalog.db().HasTable(stmt.target)) {
     return Status::AlreadyExists("a table named '" + stmt.target +
                                  "' already exists; views need a fresh name");
   }
-  SVC_ASSIGN_OR_RETURN(PlanPtr def, PlanSelect(*stmt.select, *eng->db()));
-  if (wal != nullptr) {
-    SVC_RETURN_IF_ERROR(EncodeDurableOp(
-        DurableOp::CreateViewOp(stmt.target, def->Clone(), stmt.sampling_key),
-        wal));
-  }
-  SVC_RETURN_IF_ERROR(
-      eng->CreateView(stmt.target, std::move(def), stmt.sampling_key));
-  SVC_ASSIGN_OR_RETURN(const Table* stored, eng->db()->GetTable(stmt.target));
+  // Planning reads schemas, never rows, so the catalog suffices.
+  SVC_ASSIGN_OR_RETURN(PlanPtr def, PlanSelect(*stmt.select, catalog.db()));
+  SVC_RETURN_IF_ERROR(cut.Apply(DurableOp::CreateViewOp(
+      stmt.target, std::move(def), stmt.sampling_key)));
+  SVC_ASSIGN_OR_RETURN(size_t rows, cut.NumRows(stmt.target));
   SqlResult result;
   result.message = "materialized view " + stmt.target + " (" +
-                   std::to_string(stored->NumRows()) + " rows)";
+                   std::to_string(rows) + " rows)";
   return result;
 }
 
 Result<SqlResult> SqlSession::ExecInsert(const Statement& stmt,
-                                         SvcEngine* eng, std::string* wal) {
-  SVC_ASSIGN_OR_RETURN(const Table* table,
-                       ResolveBaseTable(*eng, stmt.target, "INSERT INTO"));
+                                         EngineCut& cut) {
+  SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> table,
+                       ResolveBaseTable(cut, stmt.target, "INSERT INTO"));
   // Validate and coerce every row before ingesting any (the statement
   // either queues completely or not at all).
   std::vector<Row> rows = stmt.values;
@@ -466,42 +437,40 @@ Result<SqlResult> SqlSession::ExecInsert(const Statement& stmt,
   PendingKeys scratch;
   PendingKeys* cache = nullptr;
   if (table->HasPrimaryKey()) {
+    // Key checks run against the logical table: a conflicting committed
+    // row may live on any shard.
     cache = PendingKeysFor(stmt.target, &scratch);
-    SyncPendingKeys(*eng, stmt.target, table->pk_indices(), cache);
+    SyncPendingKeys(cut, stmt.target, table->pk_indices(), cache);
     SVC_RETURN_IF_ERROR(
         CheckInsertKeys(stmt, *table, rows, *cache, &batch_keys));
   }
-  if (wal != nullptr) {
-    // The *coerced* rows are what replay must re-queue.
-    SVC_RETURN_IF_ERROR(
-        EncodeDurableOp(DurableOp::InsertOp(stmt.target, rows), wal));
-  }
-  for (auto& row : rows) {
-    SVC_RETURN_IF_ERROR(eng->InsertRecord(stmt.target, std::move(row)));
-  }
+  const size_t queued = rows.size();
+  // The *coerced* rows are what the op carries, and what replay re-queues.
+  SVC_RETURN_IF_ERROR(
+      cut.Apply(DurableOp::InsertOp(stmt.target, std::move(rows))));
   if (cache != nullptr) {
     // Extend the cache in step with what was just queued.
     for (auto& key : batch_keys) cache->inserts.insert(std::move(key));
-    cache->insert_rows += rows.size();
+    cache->insert_rows += queued;
   }
   SqlResult result;
-  result.message = "queued " + std::to_string(rows.size()) +
-                   " insert(s) into " + stmt.target +
-                   "; REFRESH commits them";
+  result.message = "queued " + std::to_string(queued) + " insert(s) into " +
+                   stmt.target + "; REFRESH commits them";
   return result;
 }
 
 Result<SqlResult> SqlSession::ExecDelete(const Statement& stmt,
-                                         SvcEngine* eng, std::string* wal) {
-  SVC_ASSIGN_OR_RETURN(const Table* table,
-                       ResolveBaseTable(*eng, stmt.target, "DELETE FROM"));
+                                         EngineCut& cut) {
+  SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> table,
+                       ResolveBaseTable(cut, stmt.target, "DELETE FROM"));
   ExprPtr pred;
   if (stmt.where) {
     pred = stmt.where->Clone();
     SVC_RETURN_IF_ERROR(pred->Bind(table->schema()));
   }
-  // WHERE selects from the committed rows; matches are queued as delete
-  // deltas (the base table changes at REFRESH).
+  // WHERE selects from the committed rows (in the logical table's canonical
+  // order, so the queued delta order is shard-count-invariant); matches are
+  // queued as delete deltas (the base table changes at REFRESH).
   std::vector<Row> doomed;
   for (const auto& row : table->rows()) {
     if (!pred || pred->Eval(row).IsTrue()) doomed.push_back(row);
@@ -515,7 +484,7 @@ Result<SqlResult> SqlSession::ExecDelete(const Statement& stmt,
   if (table->HasPrimaryKey()) {
     const std::vector<size_t>& pk = table->pk_indices();
     cache = PendingKeysFor(stmt.target, &scratch);
-    SyncPendingKeys(*eng, stmt.target, pk, cache);
+    SyncPendingKeys(cut, stmt.target, pk, cache);
     std::vector<Row> fresh;
     fresh.reserve(doomed.size());
     for (auto& row : doomed) {
@@ -526,47 +495,38 @@ Result<SqlResult> SqlSession::ExecDelete(const Statement& stmt,
     }
     doomed = std::move(fresh);
   }
-  if (wal != nullptr) {
-    // The rows the WHERE selected (post-dedup) are what replay re-queues —
-    // replaying the predicate against a different committed state would
-    // diverge.
-    SVC_RETURN_IF_ERROR(
-        EncodeDurableOp(DurableOp::DeleteOp(stmt.target, doomed), wal));
-  }
-  for (auto& row : doomed) {
-    SVC_RETURN_IF_ERROR(eng->DeleteRecord(stmt.target, std::move(row)));
-  }
+  const size_t queued = doomed.size();
+  // The rows the WHERE selected (post-dedup) are what the op carries —
+  // replaying the predicate against a different committed state would
+  // diverge.
+  SVC_RETURN_IF_ERROR(
+      cut.Apply(DurableOp::DeleteOp(stmt.target, std::move(doomed))));
   if (cache != nullptr) {
     for (auto& key : new_keys) cache->deletes.insert(std::move(key));
-    cache->delete_rows += doomed.size();
+    cache->delete_rows += queued;
   }
   SqlResult result;
-  result.message = "queued " + std::to_string(doomed.size()) +
-                   " delete(s) from " + stmt.target + "; REFRESH commits them";
+  result.message = "queued " + std::to_string(queued) + " delete(s) from " +
+                   stmt.target + "; REFRESH commits them";
   return result;
 }
 
 Result<SqlResult> SqlSession::ExecRefresh(const Statement& stmt,
-                                          SvcEngine* eng, std::string* wal) {
-  const size_t inserts = eng->pending().TotalInserts();
-  const size_t deletes = eng->pending().TotalDeletes();
+                                          EngineCut& cut) {
+  size_t inserts = 0;
+  size_t deletes = 0;
+  cut.PendingTotals(&inserts, &deletes);
   if (!stmt.refresh_all) {
     // Validate the target; maintenance itself is engine-global (pending
     // deltas are one set), so every view freshens at the commit.
-    SVC_RETURN_IF_ERROR(eng->GetView(stmt.target).status());
+    SVC_RETURN_IF_ERROR(cut.catalog().GetView(stmt.target).status());
   }
-  // MaintainAll is transactional: on error nothing changed — queued deltas
-  // (and the session's pending-key cache over them) stay intact, so the
-  // error propagates here without touching session state. In shared mode
-  // `eng` is already a disposable fork that ExecWrite's Commit discards on
-  // error, so the in-place body skips a redundant second fork.
-  SVC_RETURN_IF_ERROR(handle_.is_shared() ? eng->MaintainAllInPlace()
-                                         : eng->MaintainAll());
-  if (wal != nullptr) {
-    SVC_RETURN_IF_ERROR(EncodeDurableOp(DurableOp::RefreshOp(), wal));
-  }
+  // REFRESH is transactional in every mode: on error nothing changed —
+  // queued deltas (and the session's pending-key cache over them) stay
+  // intact, so the error propagates here without touching session state.
+  SVC_RETURN_IF_ERROR(cut.Apply(DurableOp::RefreshOp()));
   pending_keys_.clear();  // the commit emptied the pending queue
-  const size_t n_views = eng->ViewNames().size();
+  const size_t n_views = cut.catalog().ViewNames().size();
   SqlResult result;
   result.message = "refreshed " + std::to_string(n_views) +
                    " view(s); committed " + std::to_string(inserts) +
@@ -603,13 +563,10 @@ static Result<MaintenancePolicyConfig> ResolvePolicyStatement(
 }
 
 Result<SqlResult> SqlSession::ExecSetPolicy(const Statement& stmt,
-                                            SvcEngine* eng, std::string* wal) {
+                                            EngineCut& cut) {
   SVC_ASSIGN_OR_RETURN(MaintenancePolicyConfig cfg,
-                       ResolvePolicyStatement(stmt, *eng));
-  if (wal != nullptr) {
-    SVC_RETURN_IF_ERROR(EncodeDurableOp(DurableOp::SetPolicyOp(cfg), wal));
-  }
-  eng->set_maintenance_policy(cfg);
+                       ResolvePolicyStatement(stmt, cut.catalog()));
+  SVC_RETURN_IF_ERROR(cut.Apply(DurableOp::SetPolicyOp(cfg)));
   SqlResult result;
   result.message = "maintenance policy set: " + DescribeMaintenancePolicy(cfg);
   return result;
@@ -617,27 +574,28 @@ Result<SqlResult> SqlSession::ExecSetPolicy(const Statement& stmt,
 
 Result<SqlResult> SqlSession::ExecCheckpoint() {
   SqlResult result;
-  if (!handle_.is_durable()) {
+  DurableEngine* durable = handle_.durable().get();
+  if (durable == nullptr) {
     result.message = "no durable storage attached; CHECKPOINT skipped";
     return result;
   }
-  SVC_ASSIGN_OR_RETURN(uint64_t epoch, handle_.durable()->Checkpoint());
+  SVC_ASSIGN_OR_RETURN(uint64_t epoch, durable->Checkpoint());
   result.message = "checkpoint at epoch " + std::to_string(epoch);
   return result;
 }
 
-Result<SqlResult> SqlSession::ExecShowTables(const SvcEngine& eng) {
+Result<SqlResult> SqlSession::ExecShowTables(const EngineCut& cut) {
   Schema schema;
   schema.AddColumn({"", "name", ValueType::kString});
   schema.AddColumn({"", "rows", ValueType::kInt});
   schema.AddColumn({"", "kind", ValueType::kString});
   Table out(std::move(schema));
-  for (const auto& name : eng.db().TableNames()) {
+  for (const auto& name : cut.catalog().db().TableNames()) {
     if (name.rfind("__", 0) == 0) continue;  // internal delta tables
-    SVC_ASSIGN_OR_RETURN(const Table* t, eng.db().GetTable(name));
-    const bool is_view = eng.HasView(name);
+    SVC_ASSIGN_OR_RETURN(size_t rows, cut.NumRows(name));
+    const bool is_view = cut.catalog().HasView(name);
     out.AppendUnchecked({Value::String(name),
-                         Value::Int(static_cast<int64_t>(t->NumRows())),
+                         Value::Int(static_cast<int64_t>(rows)),
                          Value::String(is_view ? "view" : "base")});
   }
   SqlResult result;
@@ -647,25 +605,26 @@ Result<SqlResult> SqlSession::ExecShowTables(const SvcEngine& eng) {
   return result;
 }
 
-Result<SqlResult> SqlSession::ExecShowViews(const SvcEngine& eng) {
+Result<SqlResult> SqlSession::ExecShowViews(const EngineCut& cut) {
+  const SvcEngine& catalog = cut.catalog();
   Schema schema;
   schema.AddColumn({"", "name", ValueType::kString});
   schema.AddColumn({"", "rows", ValueType::kInt});
   schema.AddColumn({"", "class", ValueType::kString});
   schema.AddColumn({"", "stale", ValueType::kString});
   Table out(std::move(schema));
-  for (const auto& name : eng.ViewNames()) {
-    SVC_ASSIGN_OR_RETURN(const MaterializedView* view, eng.GetView(name));
-    SVC_ASSIGN_OR_RETURN(const Table* t, eng.db().GetTable(name));
+  for (const auto& name : catalog.ViewNames()) {
+    SVC_ASSIGN_OR_RETURN(const MaterializedView* view, catalog.GetView(name));
+    SVC_ASSIGN_OR_RETURN(size_t rows, cut.NumRows(name));
     const char* cls = "recompute";
     if (view->view_class() == ViewClass::kSpj) cls = "spj";
     if (view->view_class() == ViewClass::kAggregate) cls = "aggregate";
     bool stale = false;
     for (const auto& rel : view->base_relations()) {
-      stale = stale || eng.pending().Touches(rel);
+      stale = stale || cut.PendingRows(rel) > 0;
     }
     out.AppendUnchecked({Value::String(name),
-                         Value::Int(static_cast<int64_t>(t->NumRows())),
+                         Value::Int(static_cast<int64_t>(rows)),
                          Value::String(cls),
                          Value::String(stale ? "yes" : "no")});
   }
@@ -676,10 +635,12 @@ Result<SqlResult> SqlSession::ExecShowViews(const SvcEngine& eng) {
   return result;
 }
 
-Result<SqlResult> SqlSession::ExecShowStats(const SvcEngine& eng) {
+Result<SqlResult> SqlSession::ExecShowStats(const EngineCut& cut) {
+  const SvcEngine& catalog = cut.catalog();
+  const DurableEngine* durable = handle_.durable().get();
   // One row per view: serving-cache counters (cumulative across commits),
   // the pending delta rows touching the view's base relations, and the
-  // engine's delta version (the pending queue's mutation counter — the
+  // delta version (the pending queue's logical mutation counter — the
   // epoch-like key cache entries validate against).
   Schema schema;
   schema.AddColumn({"", "view", ValueType::kString});
@@ -691,32 +652,31 @@ Result<SqlResult> SqlSession::ExecShowStats(const SvcEngine& eng) {
   schema.AddColumn({"", "delta_version", ValueType::kInt});
   // Durable sessions also report the engine-wide durability counters
   // (repeated on every row — SHOW STATS is a per-view relation).
-  if (handle_.is_durable()) {
+  if (durable != nullptr) {
     schema.AddColumn({"", "wal_records", ValueType::kInt});
     schema.AddColumn({"", "wal_bytes", ValueType::kInt});
     schema.AddColumn({"", "last_checkpoint_epoch", ValueType::kInt});
     schema.AddColumn({"", "recovered_epoch", ValueType::kInt});
   }
   Table out(std::move(schema));
-  const std::map<std::string, ViewCacheStats> stats = eng.CacheStats();
+  const std::map<std::string, ViewCacheStats> stats = cut.CacheStats();
   const auto as_int = [](uint64_t v) {
     return Value::Int(static_cast<int64_t>(v));
   };
-  for (const auto& name : eng.ViewNames()) {
-    SVC_ASSIGN_OR_RETURN(const MaterializedView* view, eng.GetView(name));
+  for (const auto& name : catalog.ViewNames()) {
+    SVC_ASSIGN_OR_RETURN(const MaterializedView* view, catalog.GetView(name));
     size_t pending_rows = 0;
     for (const auto& rel : view->base_relations()) {
-      pending_rows += eng.pending().InsertRows(rel);
-      pending_rows += eng.pending().DeleteRows(rel);
+      pending_rows += cut.PendingRows(rel);
     }
     auto it = stats.find(name);
     const ViewCacheStats s = it == stats.end() ? ViewCacheStats{} : it->second;
     Row row = {Value::String(name),          as_int(s.hits),
                as_int(s.misses),             as_int(s.full_cleans),
                as_int(s.incremental_advances), as_int(pending_rows),
-               as_int(eng.pending().version())};
-    if (handle_.is_durable()) {
-      const DurabilityStats ds = handle_.durable()->stats();
+               as_int(cut.delta_version())};
+    if (durable != nullptr) {
+      const DurabilityStats ds = durable->stats();
       row.push_back(as_int(ds.wal_records));
       row.push_back(as_int(ds.wal_bytes));
       row.push_back(as_int(ds.last_checkpoint_epoch));
@@ -731,80 +691,51 @@ Result<SqlResult> SqlSession::ExecShowStats(const SvcEngine& eng) {
   return result;
 }
 
-Result<SqlResult> SqlSession::ExecShowMaintenance(const SvcEngine& eng) {
-  const MaintenancePolicyConfig cfg = eng.maintenance_policy();
+Result<SqlResult> SqlSession::ExecShowMaintenance(const EngineCut& cut) {
+  const MaintenancePolicyConfig cfg = cut.catalog().maintenance_policy();
   SVC_ASSIGN_OR_RETURN(std::vector<ViewMaintenanceScore> scores,
-                       ScoreViews(eng, cfg, /*elapsed_ms=*/0));
+                       cut.ScoreViews(cfg, /*elapsed_ms=*/0));
   return RenderMaintenance(cfg, scores);
 }
 
 SqlSession::PendingKeys* SqlSession::PendingKeysFor(
     const std::string& relation, PendingKeys* scratch) {
-  // Shared mode: other sessions mutate the pending queue between this
-  // session's statements, and the row-count drift check cannot distinguish
-  // "same counts, different keys" (e.g. a REFRESH followed by the same
-  // number of new inserts). Rebuild from the fork every statement — the
-  // statement runs under the writer lock, so the fork is authoritative.
-  if (handle_.is_shared()) return scratch;
+  // Only a private engine's queue is this session's alone. Elsewhere other
+  // sessions mutate it between this session's statements, and the
+  // row-count drift check cannot distinguish "same counts, different keys"
+  // (e.g. a REFRESH followed by the same number of new inserts). Rebuild
+  // from the write cut every statement — it is taken under the mode's
+  // writer serialization, so it is authoritative.
+  if (handle_.private_engine() == nullptr) return scratch;
   return &pending_keys_[relation];
 }
 
-void SqlSession::SyncPendingKeys(const SvcEngine& eng,
+void SqlSession::SyncPendingKeys(const EngineCut& cut,
                                  const std::string& relation,
                                  const std::vector<size_t>& pk_indices,
                                  PendingKeys* cache) {
-  auto sync = [&](size_t n, auto for_each, size_t* rows,
+  size_t inserts = 0;
+  size_t deletes = 0;
+  cut.ForEachPendingSet(relation, [&](const DeltaSet& pending) {
+    inserts += pending.InsertRows(relation);
+    deletes += pending.DeleteRows(relation);
+  });
+  auto sync = [&](size_t n, bool insert_side, size_t* rows,
                   std::set<std::string>* keys) {
     if (*rows == n) return;
     keys->clear();
-    for_each([&](const Row& r) {
-      keys->insert(EncodeRowKey(r, pk_indices));
+    auto add = [&](const Row& r) { keys->insert(EncodeRowKey(r, pk_indices)); };
+    cut.ForEachPendingSet(relation, [&](const DeltaSet& pending) {
+      if (insert_side) {
+        pending.ForEachInsert(relation, add);
+      } else {
+        pending.ForEachDelete(relation, add);
+      }
     });
     *rows = n;
   };
-  const DeltaSet& pending = eng.pending();
-  sync(pending.InsertRows(relation),
-       [&](auto fn) { pending.ForEachInsert(relation, fn); },
-       &cache->insert_rows, &cache->inserts);
-  sync(pending.DeleteRows(relation),
-       [&](auto fn) { pending.ForEachDelete(relation, fn); },
-       &cache->delete_rows, &cache->deletes);
-}
-
-Status SqlSession::CoerceInsertRows(const Statement& stmt,
-                                    const Schema& schema,
-                                    std::vector<Row>* rows) {
-  for (size_t r = 0; r < rows->size(); ++r) {
-    Row& row = (*rows)[r];
-    if (row.size() != schema.NumColumns()) {
-      std::string cols;
-      for (const auto& c : schema.columns()) {
-        cols += (cols.empty() ? "" : ", ") + c.name;
-      }
-      return Status::InvalidArgument(
-          "INSERT INTO " + stmt.target + " expects " +
-          std::to_string(schema.NumColumns()) + " values (" + cols +
-          "); row " + std::to_string(r + 1) + " has " +
-          std::to_string(row.size()));
-    }
-    for (size_t c = 0; c < row.size(); ++c) {
-      Value& v = row[c];
-      const Column& col = schema.column(c);
-      if (v.is_null()) continue;
-      if (col.type == ValueType::kDouble && v.type() == ValueType::kInt) {
-        v = Value::Double(static_cast<double>(v.AsInt()));  // widen
-        continue;
-      }
-      if (v.type() != col.type) {
-        return Status::InvalidArgument(
-            "INSERT INTO " + stmt.target + " column '" + col.name +
-            "' expects " + ValueTypeName(col.type) + "; row " +
-            std::to_string(r + 1) + " has " + v.ToString() + " (" +
-            ValueTypeName(v.type()) + ")");
-      }
-    }
-  }
-  return Status::OK();
+  sync(inserts, true, &cache->insert_rows, &cache->inserts);
+  sync(deletes, false, &cache->delete_rows, &cache->deletes);
 }
 
 Status SqlSession::CheckInsertKeys(const Statement& stmt, const Table& table,
@@ -858,10 +789,9 @@ Status SqlSession::CheckInsertKeys(const Statement& stmt, const Table& table,
   return Status::OK();
 }
 
-Result<const Table*> SqlSession::ResolveBaseTable(const SvcEngine& eng,
-                                                  const std::string& name,
-                                                  const char* verb) const {
-  if (eng.HasView(name)) {
+Result<std::shared_ptr<const Table>> SqlSession::ResolveBaseTable(
+    const EngineCut& cut, const std::string& name, const char* verb) const {
+  if (cut.catalog().HasView(name)) {
     return Status::InvalidArgument(
         std::string(verb) + " targets a base relation, but '" + name +
         "' is a materialized view (views change via REFRESH after deltas "
@@ -871,403 +801,7 @@ Result<const Table*> SqlSession::ResolveBaseTable(const SvcEngine& eng,
     return Status::InvalidArgument("'" + name +
                                    "' is an internal delta relation");
   }
-  return eng.db().GetTable(name);
-}
-
-// ---- Sharded mode -----------------------------------------------------------
-
-Result<SqlResult> SqlSession::ExecuteSharded(const Statement& stmt) {
-  // Reads run against one published cut, held alive for the statement;
-  // writes validate and commit under the engine's statement lock (the
-  // sharded analog of running inside SharedEngine::Commit).
-  ShardedSnapshotPtr snap;
-  auto reader = [&]() -> const ShardedSnapshot& {
-    snap = handle_.sharded()->Snapshot();
-    return *snap;
-  };
-  switch (stmt.kind) {
-    case Statement::Kind::kSelect: {
-      const ShardedSnapshot& cut = reader();
-      if (!stmt.svc.present) return ExecSelectSharded(stmt, cut);
-      const ShardedEngine& eng = *handle_.sharded();
-      return ExecSvcSelectImpl(
-          stmt, cut.shards[0]->engine,
-          [&](const std::string& view, const AggregateQuery& q,
-              const SvcQueryOptions& opts) {
-            return eng.Query(cut, view, q, opts);
-          },
-          [&](const std::string& view, const std::vector<std::string>& groups,
-              const AggregateQuery& q, const SvcQueryOptions& opts) {
-            return eng.QueryGrouped(cut, view, groups, q, opts);
-          });
-    }
-    case Statement::Kind::kShowTables:
-      return ExecShowTablesSharded(reader());
-    case Statement::Kind::kShowViews:
-      return ExecShowViewsSharded(reader());
-    case Statement::Kind::kShowStats:
-      return ExecShowStatsSharded(reader());
-    case Statement::Kind::kShowMaintenance:
-      return ExecShowMaintenanceSharded(reader());
-    case Statement::Kind::kCreateTable:
-      return ExecCreateTableSharded(stmt);
-    case Statement::Kind::kCreateView:
-      return ExecCreateViewSharded(stmt);
-    case Statement::Kind::kInsert:
-      return ExecInsertSharded(stmt);
-    case Statement::Kind::kDelete:
-      return ExecDeleteSharded(stmt);
-    case Statement::Kind::kRefresh:
-      return ExecRefreshSharded(stmt);
-    case Statement::Kind::kSetPolicy:
-      return ExecSetPolicySharded(stmt);
-    case Statement::Kind::kCheckpoint:
-      return ExecCheckpoint();  // sharded engines are not durable
-  }
-  return Status::Internal("unhandled statement kind");
-}
-
-Result<SqlResult> SqlSession::ExecSelectSharded(const Statement& stmt,
-                                                const ShardedSnapshot& snap) {
-  const ShardedEngine& eng = *handle_.sharded();
-  // Plan and execute against the gathered logical catalog: partitioned
-  // relations and views are reassembled in canonical order (memoized per
-  // shard-part identity, so repeated SELECTs between maintenance commits
-  // reuse the merge; replicated tables are shard 0's, zero-copy).
-  const SvcEngine& shard0 = snap.shards[0]->engine;
-  std::vector<std::string> names;
-  for (const auto& name : shard0.db().TableNames()) {
-    if (name.rfind("__", 0) == 0) continue;  // internal delta tables
-    names.push_back(name);
-  }
-  SVC_ASSIGN_OR_RETURN(Database gathered, eng.GatherDatabase(snap, names));
-  SVC_ASSIGN_OR_RETURN(PlanPtr plan, PlanSelect(*stmt.select, gathered));
-  SVC_ASSIGN_OR_RETURN(Table out,
-                       ExecutePlan(*plan, gathered, shard0.exec_options()));
-  SqlResult result;
-  result.kind = SqlResultKind::kRows;
-  result.message = std::to_string(out.NumRows()) + " row(s)";
-  result.rows = std::move(out);
-  return result;
-}
-
-Result<SqlResult> SqlSession::ExecCreateTableSharded(const Statement& stmt) {
-  ShardedEngine& eng = *handle_.sharded();
-  std::optional<SqlResult> out;
-  SVC_RETURN_IF_ERROR(eng.WithStatementLock([&]() -> Status {
-    ShardedSnapshotPtr snap = eng.Snapshot();
-    if (snap->shards[0]->engine.db().HasTable(stmt.target)) {
-      return Status::AlreadyExists("table or view already exists: " +
-                                   stmt.target);
-    }
-    auto table = BuildTableForCreate(stmt);
-    if (!table.ok()) return table.status();
-    SVC_RETURN_IF_ERROR(eng.CreateTable(stmt.target, std::move(table).value()));
-    SqlResult result;
-    result.message = "created table " + stmt.target + " (" +
-                     std::to_string(stmt.columns.size()) + " columns)";
-    out = std::move(result);
-    return Status::OK();
-  }));
-  return std::move(*out);
-}
-
-Result<SqlResult> SqlSession::ExecCreateViewSharded(const Statement& stmt) {
-  ShardedEngine& eng = *handle_.sharded();
-  std::optional<SqlResult> out;
-  SVC_RETURN_IF_ERROR(eng.WithStatementLock([&]() -> Status {
-    ShardedSnapshotPtr snap = eng.Snapshot();
-    const SvcEngine& shard0 = snap->shards[0]->engine;
-    if (shard0.HasView(stmt.target)) {
-      return Status::AlreadyExists("view already exists: " + stmt.target);
-    }
-    if (shard0.db().HasTable(stmt.target)) {
-      return Status::AlreadyExists("a table named '" + stmt.target +
-                                   "' already exists; views need a fresh "
-                                   "name");
-    }
-    // Plan against shard 0's catalog: schemas are identical on every shard
-    // (only row placement differs), and planning never reads rows.
-    SVC_ASSIGN_OR_RETURN(PlanPtr def, PlanSelect(*stmt.select, shard0.db()));
-    SVC_RETURN_IF_ERROR(
-        eng.CreateView(stmt.target, std::move(def), stmt.sampling_key));
-    // Report the logical row count from the freshly published cut.
-    ShardedSnapshotPtr next = eng.Snapshot();
-    SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> stored,
-                         eng.GatherTable(*next, stmt.target));
-    SqlResult result;
-    result.message = "materialized view " + stmt.target + " (" +
-                     std::to_string(stored->NumRows()) + " rows)";
-    out = std::move(result);
-    return Status::OK();
-  }));
-  return std::move(*out);
-}
-
-Result<SqlResult> SqlSession::ExecInsertSharded(const Statement& stmt) {
-  ShardedEngine& eng = *handle_.sharded();
-  std::optional<SqlResult> out;
-  SVC_RETURN_IF_ERROR(eng.WithStatementLock([&]() -> Status {
-    ShardedSnapshotPtr snap = eng.Snapshot();
-    const SvcEngine& shard0 = snap->shards[0]->engine;
-    SVC_RETURN_IF_ERROR(
-        ResolveBaseTable(shard0, stmt.target, "INSERT INTO").status());
-    // Key checks run against the *gathered* logical table: a conflicting
-    // committed row may live on any shard.
-    SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> table,
-                         eng.GatherTable(*snap, stmt.target));
-    std::vector<Row> rows = stmt.values;
-    SVC_RETURN_IF_ERROR(CoerceInsertRows(stmt, table->schema(), &rows));
-    if (table->HasPrimaryKey()) {
-      PendingKeys pending;
-      SyncPendingKeysSharded(*snap, stmt.target, table->pk_indices(),
-                             &pending);
-      std::vector<std::string> batch_keys;
-      SVC_RETURN_IF_ERROR(
-          CheckInsertKeys(stmt, *table, rows, pending, &batch_keys));
-    }
-    SVC_RETURN_IF_ERROR(eng.InsertRows(stmt.target, std::move(rows)));
-    SqlResult result;
-    result.message = "queued " + std::to_string(stmt.values.size()) +
-                     " insert(s) into " + stmt.target +
-                     "; REFRESH commits them";
-    out = std::move(result);
-    return Status::OK();
-  }));
-  return std::move(*out);
-}
-
-Result<SqlResult> SqlSession::ExecDeleteSharded(const Statement& stmt) {
-  ShardedEngine& eng = *handle_.sharded();
-  std::optional<SqlResult> out;
-  SVC_RETURN_IF_ERROR(eng.WithStatementLock([&]() -> Status {
-    ShardedSnapshotPtr snap = eng.Snapshot();
-    const SvcEngine& shard0 = snap->shards[0]->engine;
-    SVC_RETURN_IF_ERROR(
-        ResolveBaseTable(shard0, stmt.target, "DELETE FROM").status());
-    SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> table,
-                         eng.GatherTable(*snap, stmt.target));
-    ExprPtr pred;
-    if (stmt.where) {
-      pred = stmt.where->Clone();
-      SVC_RETURN_IF_ERROR(pred->Bind(table->schema()));
-    }
-    // WHERE selects from the gathered committed rows (canonical order, so
-    // the queued delta order is shard-count-invariant); matches are routed
-    // to their owning shards as delete deltas.
-    std::vector<Row> doomed;
-    for (const auto& row : table->rows()) {
-      if (!pred || pred->Eval(row).IsTrue()) doomed.push_back(row);
-    }
-    if (table->HasPrimaryKey()) {
-      // DELETE is idempotent: skip rows already queued for deletion.
-      PendingKeys pending;
-      SyncPendingKeysSharded(*snap, stmt.target, table->pk_indices(),
-                             &pending);
-      std::vector<Row> fresh;
-      fresh.reserve(doomed.size());
-      for (auto& row : doomed) {
-        if (pending.deletes.count(EncodeRowKey(row, table->pk_indices()))) {
-          continue;
-        }
-        fresh.push_back(std::move(row));
-      }
-      doomed = std::move(fresh);
-    }
-    const size_t n_doomed = doomed.size();
-    SVC_RETURN_IF_ERROR(eng.DeleteRows(stmt.target, std::move(doomed)));
-    SqlResult result;
-    result.message = "queued " + std::to_string(n_doomed) + " delete(s) from " +
-                     stmt.target + "; REFRESH commits them";
-    out = std::move(result);
-    return Status::OK();
-  }));
-  return std::move(*out);
-}
-
-Result<SqlResult> SqlSession::ExecRefreshSharded(const Statement& stmt) {
-  ShardedEngine& eng = *handle_.sharded();
-  std::optional<SqlResult> out;
-  SVC_RETURN_IF_ERROR(eng.WithStatementLock([&]() -> Status {
-    ShardedSnapshotPtr snap = eng.Snapshot();
-    const SvcEngine& shard0 = snap->shards[0]->engine;
-    if (!stmt.refresh_all) {
-      SVC_RETURN_IF_ERROR(shard0.GetView(stmt.target).status());
-    }
-    size_t inserts = 0;
-    size_t deletes = 0;
-    SVC_RETURN_IF_ERROR(eng.Refresh(&inserts, &deletes));
-    const size_t n_views = shard0.ViewNames().size();
-    SqlResult result;
-    result.message = "refreshed " + std::to_string(n_views) +
-                     " view(s); committed " + std::to_string(inserts) +
-                     " insert(s) and " + std::to_string(deletes) +
-                     " delete(s)";
-    out = std::move(result);
-    return Status::OK();
-  }));
-  return std::move(*out);
-}
-
-Result<SqlResult> SqlSession::ExecSetPolicySharded(const Statement& stmt) {
-  ShardedEngine& eng = *handle_.sharded();
-  std::optional<SqlResult> out;
-  SVC_RETURN_IF_ERROR(eng.WithStatementLock([&]() -> Status {
-    // Catalogs (and the policy) are identical on every shard; resolve the
-    // ON-form merge against shard 0 under the statement lock.
-    ShardedSnapshotPtr snap = eng.Snapshot();
-    SVC_ASSIGN_OR_RETURN(
-        MaintenancePolicyConfig cfg,
-        ResolvePolicyStatement(stmt, snap->shards[0]->engine));
-    SVC_RETURN_IF_ERROR(eng.SetMaintenancePolicy(cfg));
-    SqlResult result;
-    result.message =
-        "maintenance policy set: " + DescribeMaintenancePolicy(cfg);
-    out = std::move(result);
-    return Status::OK();
-  }));
-  return std::move(*out);
-}
-
-Result<SqlResult> SqlSession::ExecShowTablesSharded(
-    const ShardedSnapshot& snap) {
-  const SvcEngine& shard0 = snap.shards[0]->engine;
-  Schema schema;
-  schema.AddColumn({"", "name", ValueType::kString});
-  schema.AddColumn({"", "rows", ValueType::kInt});
-  schema.AddColumn({"", "kind", ValueType::kString});
-  Table out(std::move(schema));
-  for (const auto& name : shard0.db().TableNames()) {
-    if (name.rfind("__", 0) == 0) continue;  // internal delta tables
-    // Partitioned relations/views report their logical row count (the sum
-    // of the shard parts); replicated ones hold it whole on shard 0.
-    const bool partitioned = snap.meta->IsPartitionedRelation(name) ||
-                             snap.meta->IsPartitionedView(name);
-    size_t rows = 0;
-    for (size_t s = 0; s < snap.shards.size(); ++s) {
-      SVC_ASSIGN_OR_RETURN(const Table* t,
-                           snap.shards[s]->engine.db().GetTable(name));
-      rows += t->NumRows();
-      if (!partitioned) break;
-    }
-    out.AppendUnchecked({Value::String(name),
-                         Value::Int(static_cast<int64_t>(rows)),
-                         Value::String(shard0.HasView(name) ? "view" : "base")});
-  }
-  SqlResult result;
-  result.kind = SqlResultKind::kRows;
-  result.message = std::to_string(out.NumRows()) + " table(s)";
-  result.rows = std::move(out);
-  return result;
-}
-
-Result<SqlResult> SqlSession::ExecShowViewsSharded(const ShardedSnapshot& snap) {
-  const SvcEngine& shard0 = snap.shards[0]->engine;
-  Schema schema;
-  schema.AddColumn({"", "name", ValueType::kString});
-  schema.AddColumn({"", "rows", ValueType::kInt});
-  schema.AddColumn({"", "class", ValueType::kString});
-  schema.AddColumn({"", "stale", ValueType::kString});
-  Table out(std::move(schema));
-  for (const auto& name : shard0.ViewNames()) {
-    SVC_ASSIGN_OR_RETURN(const MaterializedView* view, shard0.GetView(name));
-    const bool partitioned = snap.meta->IsPartitionedView(name);
-    size_t rows = 0;
-    for (size_t s = 0; s < snap.shards.size(); ++s) {
-      SVC_ASSIGN_OR_RETURN(const Table* t,
-                           snap.shards[s]->engine.db().GetTable(name));
-      rows += t->NumRows();
-      if (!partitioned) break;
-    }
-    const char* cls = "recompute";
-    if (view->view_class() == ViewClass::kSpj) cls = "spj";
-    if (view->view_class() == ViewClass::kAggregate) cls = "aggregate";
-    // A partitioned relation's deltas live only on the owning shard: a
-    // view is stale when *any* shard has pending rows for its bases.
-    bool stale = false;
-    for (const auto& rel : view->base_relations()) {
-      for (const auto& shard : snap.shards) {
-        stale = stale || shard->engine.pending().Touches(rel);
-      }
-    }
-    out.AppendUnchecked({Value::String(name),
-                         Value::Int(static_cast<int64_t>(rows)),
-                         Value::String(cls),
-                         Value::String(stale ? "yes" : "no")});
-  }
-  SqlResult result;
-  result.kind = SqlResultKind::kRows;
-  result.message = std::to_string(out.NumRows()) + " view(s)";
-  result.rows = std::move(out);
-  return result;
-}
-
-Result<SqlResult> SqlSession::ExecShowStatsSharded(const ShardedSnapshot& snap) {
-  const ShardedEngine& eng = *handle_.sharded();
-  const SvcEngine& shard0 = snap.shards[0]->engine;
-  Schema schema;
-  schema.AddColumn({"", "view", ValueType::kString});
-  schema.AddColumn({"", "cache_hits", ValueType::kInt});
-  schema.AddColumn({"", "cache_misses", ValueType::kInt});
-  schema.AddColumn({"", "full_cleans", ValueType::kInt});
-  schema.AddColumn({"", "incr_advances", ValueType::kInt});
-  schema.AddColumn({"", "pending_rows", ValueType::kInt});
-  schema.AddColumn({"", "delta_version", ValueType::kInt});
-  Table out(std::move(schema));
-  // Counters are logical (one scatter-gather query = one hit/miss/clean,
-  // not one per shard) and the delta version is the coordinator's publish
-  // counter — both match what a single-shard engine reports for the same
-  // statement history, so the relation is shard-count-invariant.
-  const std::map<std::string, ViewCacheStats> stats =
-      eng.CoordinatorCacheStats(snap);
-  const uint64_t delta_version = snap.version;
-  const auto as_int = [](uint64_t v) {
-    return Value::Int(static_cast<int64_t>(v));
-  };
-  for (const auto& name : shard0.ViewNames()) {
-    SVC_ASSIGN_OR_RETURN(const MaterializedView* view, shard0.GetView(name));
-    size_t pending_rows = 0;
-    for (const auto& rel : view->base_relations()) {
-      pending_rows += eng.PendingRowsFor(snap, rel);
-    }
-    auto it = stats.find(name);
-    const ViewCacheStats s = it == stats.end() ? ViewCacheStats{} : it->second;
-    out.AppendUnchecked({Value::String(name), as_int(s.hits),
-                         as_int(s.misses), as_int(s.full_cleans),
-                         as_int(s.incremental_advances), as_int(pending_rows),
-                         as_int(delta_version)});
-  }
-  SqlResult result;
-  result.kind = SqlResultKind::kRows;
-  result.message = std::to_string(out.NumRows()) + " view(s)";
-  result.rows = std::move(out);
-  return result;
-}
-
-Result<SqlResult> SqlSession::ExecShowMaintenanceSharded(
-    const ShardedSnapshot& snap) {
-  const ShardedEngine& eng = *handle_.sharded();
-  const MaintenancePolicyConfig cfg = snap.shards[0]->engine.maintenance_policy();
-  SVC_ASSIGN_OR_RETURN(std::vector<ViewMaintenanceScore> scores,
-                       eng.ScoreViews(snap, cfg, /*elapsed_ms=*/0));
-  return RenderMaintenance(cfg, scores);
-}
-
-void SqlSession::SyncPendingKeysSharded(const ShardedSnapshot& snap,
-                                        const std::string& relation,
-                                        const std::vector<size_t>& pk_indices,
-                                        PendingKeys* cache) {
-  for (const auto& shard : snap.shards) {
-    const DeltaSet& pending = shard->engine.pending();
-    pending.ForEachInsert(relation, [&](const Row& r) {
-      cache->inserts.insert(EncodeRowKey(r, pk_indices));
-    });
-    pending.ForEachDelete(relation, [&](const Row& r) {
-      cache->deletes.insert(EncodeRowKey(r, pk_indices));
-    });
-  }
-  cache->insert_rows = cache->inserts.size();
-  cache->delete_rows = cache->deletes.size();
+  return cut.GetTable(name);
 }
 
 }  // namespace svc

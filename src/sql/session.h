@@ -2,7 +2,6 @@
 #define SVC_SQL_SESSION_H_
 
 #include <cassert>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -11,11 +10,9 @@
 
 #include "common/cancel.h"
 #include "common/status.h"
-#include "core/sharded_engine.h"
-#include "core/shared_engine.h"
 #include "core/svc.h"
+#include "sql/engine_handle.h"
 #include "sql/parser.h"
-#include "storage/durable_engine.h"
 
 namespace svc {
 
@@ -52,81 +49,7 @@ class SqlExecutor {
   virtual Result<SqlResult> Execute(const std::string& sql) = 0;
 };
 
-/// Names the engine a session (or server) runs on — exactly one of:
-///
-///   * **Private**: the handle owns a SvcEngine (shared-nothing; one
-///     engine per session).
-///   * **Shared**: the handle addresses a SharedEngine; many sessions run
-///     concurrently with snapshot isolation.
-///   * **Durable**: shared-mode semantics over a DurableEngine (each write
-///     is one WAL-logged commit).
-///   * **Sharded**: the handle addresses a ShardedEngine; statements run
-///     against hash-partitioned shards, reads against one published cut.
-///
-/// Collapses what used to be five SqlSession constructors into one value,
-/// so callers (svc_shell, svc_served, tests) build the handle once and
-/// never branch on engine mode again. Move-only, like the engine ownership
-/// it carries.
-class EngineHandle {
- public:
-  /// A fresh private engine over an empty catalog.
-  static EngineHandle Private() { return Private(Database()); }
-  /// A private engine over pre-loaded base relations.
-  static EngineHandle Private(Database db) {
-    return Private(SvcEngine(std::move(db)));
-  }
-  /// A private engine adopting existing engine state — e.g. a copy of a
-  /// SharedEngine snapshot's engine, for deterministic offline replay.
-  static EngineHandle Private(SvcEngine engine) {
-    EngineHandle h;
-    h.own_ = std::make_unique<SvcEngine>(std::move(engine));
-    return h;
-  }
-  /// A handle onto a shared (snapshot-isolated) engine.
-  static EngineHandle Shared(std::shared_ptr<SharedEngine> shared) {
-    EngineHandle h;
-    h.shared_ = std::move(shared);
-    return h;
-  }
-  /// A handle onto a durable engine: shared-mode semantics plus the WAL.
-  static EngineHandle Durable(std::shared_ptr<DurableEngine> durable) {
-    EngineHandle h;
-    h.shared_ = durable->shared();
-    h.durable_ = std::move(durable);
-    return h;
-  }
-  /// A handle onto a sharded engine (scatter-gather serving).
-  static EngineHandle Sharded(std::shared_ptr<ShardedEngine> sharded) {
-    EngineHandle h;
-    h.sharded_ = std::move(sharded);
-    return h;
-  }
-
-  /// True iff the handle addresses a SharedEngine (durable included).
-  bool is_shared() const { return shared_ != nullptr; }
-  /// True iff the handle addresses a DurableEngine.
-  bool is_durable() const { return durable_ != nullptr; }
-  /// True iff the handle addresses a ShardedEngine.
-  bool is_sharded() const { return sharded_ != nullptr; }
-  /// The owned engine (null unless private mode).
-  SvcEngine* private_engine() const { return own_.get(); }
-  /// The shared engine (null in private mode).
-  const std::shared_ptr<SharedEngine>& shared() const { return shared_; }
-  /// The durable engine (null unless durable mode).
-  const std::shared_ptr<DurableEngine>& durable() const { return durable_; }
-  /// The sharded engine (null unless sharded mode).
-  const std::shared_ptr<ShardedEngine>& sharded() const { return sharded_; }
-
- private:
-  EngineHandle() = default;  // factories fill exactly one mode
-
-  std::unique_ptr<SvcEngine> own_;
-  std::shared_ptr<SharedEngine> shared_;
-  std::shared_ptr<DurableEngine> durable_;
-  std::shared_ptr<ShardedEngine> sharded_;
-};
-
-/// A SQL-driven session over one SvcEngine: the full SVC lifecycle —
+/// A SQL-driven session over one engine: the full SVC lifecycle —
 /// define base relations, materialize views, ingest deltas, answer
 /// bounded-error aggregate queries on stale views, commit maintenance —
 /// scripted as SQL text (§3.2 of the paper):
@@ -142,26 +65,25 @@ class EngineHandle {
 ///     WITH SVC(ratio=0.5, mode=corr);           -- estimate ± CI
 ///   REFRESH VIEW visitView;                     -- maintenance commit
 ///
-/// A session runs in one of two modes:
+/// A session runs on whichever engine its EngineHandle names — private,
+/// shared, durable or sharded (see EngineHandle). Each read statement runs
+/// against one consistent cut (EngineHandle::Read: readers never block on
+/// other sessions' writes or on REFRESH); each write statement validates
+/// against a cut of the head and applies exactly one DurableOp inside the
+/// mode's atomic commit (EngineHandle::Write), so cross-session races (e.g.
+/// two sessions inserting the same primary key) are serialized and a
+/// failed statement on a shared or durable engine publishes nothing.
 ///
-///   * **Private** (the default constructors): the session owns its
-///     SvcEngine — the shared-nothing model, one engine per session.
-///   * **Shared** (the SharedEngine constructor): many sessions address
-///     one engine concurrently with snapshot isolation. Each read
-///     statement runs against one immutable snapshot (readers never block
-///     on other sessions' writes or on REFRESH); each write statement is
-///     one atomic SharedEngine::Commit — its validation and mutation run
-///     under the writer lock, so cross-session races (e.g. two sessions
-///     inserting the same primary key) are serialized, and a failed
-///     statement publishes nothing.
-///
-/// Statement semantics are identical in both modes; answers for the same
-/// engine state are bit-identical (asserted by tests/test_differential.cc).
+/// Every statement has one handler, written against the cut, so results
+/// for the same logical state are identical in every mode, values bit for
+/// bit (asserted by tests/test_differential.cc). The one allowance: a plain
+/// SELECT's row order, since a sharded engine gathers relations in
+/// canonical key order.
 ///
 /// Statement routing:
 ///   * `SELECT ... WITH SVC(...)` must aggregate over a single materialized
-///     view; it lowers to an AggregateQuery and runs through
-///     SvcEngine::Query (or QueryGrouped under GROUP BY), so session
+///     view; it lowers to an AggregateQuery and runs through the cut's
+///     Query (or QueryGrouped under GROUP BY), so session
 ///     answers are bit-identical to direct engine calls with the same
 ///     options.
 ///   * Every other SELECT parses and plans through sql/planner and runs on
@@ -175,60 +97,21 @@ class EngineHandle {
 ///     point that freshens every view.
 class SqlSession : public SqlExecutor {
  public:
-  /// The one real constructor: a session over whichever engine the handle
-  /// names. Durable handles get shared-mode semantics, plus every write
-  /// statement is one logged commit (the handler encodes the DurableOp it
-  /// performed; DurableEngine WAL-appends it before the commit publishes),
-  /// CHECKPOINT is live, and SHOW STATS reports the durability counters.
+  /// A session over whichever engine the handle names. On a durable
+  /// engine every write statement is one logged commit, CHECKPOINT is live,
+  /// and SHOW STATS reports the durability counters.
   explicit SqlSession(EngineHandle engine) : handle_(std::move(engine)) {}
 
-  // Forwarding constructors, kept for source compatibility. Deprecated:
-  // new code should construct an EngineHandle and use the constructor
-  // above.
-  /// \deprecated Use SqlSession(EngineHandle::Private()).
-  SqlSession() : SqlSession(EngineHandle::Private()) {}
-  /// \deprecated Use SqlSession(EngineHandle::Private(db)).
-  explicit SqlSession(Database db)
-      : SqlSession(EngineHandle::Private(std::move(db))) {}
-  /// \deprecated Use SqlSession(EngineHandle::Private(engine)).
-  explicit SqlSession(SvcEngine engine)
-      : SqlSession(EngineHandle::Private(std::move(engine))) {}
-  /// \deprecated Use SqlSession(EngineHandle::Shared(shared)).
-  explicit SqlSession(std::shared_ptr<SharedEngine> shared)
-      : SqlSession(EngineHandle::Shared(std::move(shared))) {}
-  /// \deprecated Use SqlSession(EngineHandle::Durable(durable)).
-  explicit SqlSession(std::shared_ptr<DurableEngine> durable)
-      : SqlSession(EngineHandle::Durable(std::move(durable))) {}
-
-  /// True iff this session addresses a SharedEngine.
-  bool is_shared() const { return handle_.is_shared(); }
-
-  /// The owned engine. REQUIRES: !is_shared() (a shared session has no
-  /// private engine; use shared() / snapshots instead).
+  /// The owned engine. REQUIRES: a private-engine session.
   SvcEngine& engine() {
     assert(handle_.private_engine() != nullptr &&
-           "engine() requires !is_shared()");
+           "engine() requires a private-engine session");
     return *handle_.private_engine();
   }
   const SvcEngine& engine() const {
     assert(handle_.private_engine() != nullptr &&
-           "engine() requires !is_shared()");
+           "engine() requires a private-engine session");
     return *handle_.private_engine();
-  }
-
-  /// The shared engine (null in private mode).
-  const std::shared_ptr<SharedEngine>& shared() const {
-    return handle_.shared();
-  }
-
-  /// The durable engine (null unless constructed from one).
-  const std::shared_ptr<DurableEngine>& durable() const {
-    return handle_.durable();
-  }
-
-  /// The sharded engine (null unless constructed from one).
-  const std::shared_ptr<ShardedEngine>& sharded() const {
-    return handle_.sharded();
   }
 
   /// Session-wide SVC defaults; `WITH SVC(...)` keys override per query.
@@ -265,87 +148,44 @@ class SqlSession : public SqlExecutor {
   Result<SqlResult> Execute(const Statement& stmt);
 
  private:
-  // Reads take the engine (a snapshot in shared mode) by const reference;
-  // writes run on the engine fork handed to them by ExecWrite.
-  // Write handlers additionally encode the DurableOp they performed into
-  // `*wal` when it is non-null (durable mode; null otherwise).
-  Result<SqlResult> ExecSelect(const Statement& stmt, const SvcEngine& eng);
-  Result<SqlResult> ExecSvcSelect(const Statement& stmt, const SvcEngine& eng);
-
-  /// The mode-independent body of ExecSvcSelect: validates and lowers the
-  /// statement against `catalog` (any engine holding the view metadata —
-  /// shard 0's in sharded mode, since catalogs are identical on every
-  /// shard), runs the query through the injected callables, and renders
-  /// the result. Sharing this body is what keeps sharded answers
-  /// message-for-message identical with the other modes.
-  Result<SqlResult> ExecSvcSelectImpl(
-      const Statement& stmt, const SvcEngine& catalog,
-      const std::function<Result<SvcAnswer>(
-          const std::string&, const AggregateQuery&, const SvcQueryOptions&)>&
-          run_query,
-      const std::function<Result<SvcGroupedAnswer>(
-          const std::string&, const std::vector<std::string>&,
-          const AggregateQuery&, const SvcQueryOptions&)>& run_grouped);
-
-  /// Sharded-mode statement dispatch (Execute branches here when the
-  /// handle is sharded): reads run against one published cut; writes
-  /// validate and commit under the engine's statement lock.
-  Result<SqlResult> ExecuteSharded(const Statement& stmt);
-  Result<SqlResult> ExecSelectSharded(const Statement& stmt,
-                                      const ShardedSnapshot& snap);
-  Result<SqlResult> ExecInsertSharded(const Statement& stmt);
-  Result<SqlResult> ExecDeleteSharded(const Statement& stmt);
-  Result<SqlResult> ExecCreateTableSharded(const Statement& stmt);
-  Result<SqlResult> ExecCreateViewSharded(const Statement& stmt);
-  Result<SqlResult> ExecRefreshSharded(const Statement& stmt);
-  Result<SqlResult> ExecSetPolicySharded(const Statement& stmt);
-  Result<SqlResult> ExecShowTablesSharded(const ShardedSnapshot& snap);
-  Result<SqlResult> ExecShowViewsSharded(const ShardedSnapshot& snap);
-  Result<SqlResult> ExecShowStatsSharded(const ShardedSnapshot& snap);
-  Result<SqlResult> ExecShowMaintenanceSharded(const ShardedSnapshot& snap);
-  Result<SqlResult> ExecCreateTable(const Statement& stmt, SvcEngine* eng,
-                                    std::string* wal);
-  Result<SqlResult> ExecCreateView(const Statement& stmt, SvcEngine* eng,
-                                   std::string* wal);
-  Result<SqlResult> ExecInsert(const Statement& stmt, SvcEngine* eng,
-                               std::string* wal);
-  Result<SqlResult> ExecDelete(const Statement& stmt, SvcEngine* eng,
-                               std::string* wal);
-  Result<SqlResult> ExecRefresh(const Statement& stmt, SvcEngine* eng,
-                                std::string* wal);
-  Result<SqlResult> ExecSetPolicy(const Statement& stmt, SvcEngine* eng,
-                                  std::string* wal);
+  // One handler per statement kind. Reads take a cut from EngineHandle::Read;
+  // writes validate against the cut ExecWrite hands them and end in exactly
+  // one EngineCut::Apply.
+  using WriteHandler = Result<SqlResult> (SqlSession::*)(const Statement&,
+                                                         EngineCut&);
+  Result<SqlResult> ExecSelect(const Statement& stmt, const EngineCut& cut);
+  Result<SqlResult> ExecSvcSelect(const Statement& stmt, const EngineCut& cut);
+  Result<SqlResult> ExecCreateTable(const Statement& stmt, EngineCut& cut);
+  Result<SqlResult> ExecCreateView(const Statement& stmt, EngineCut& cut);
+  Result<SqlResult> ExecInsert(const Statement& stmt, EngineCut& cut);
+  Result<SqlResult> ExecDelete(const Statement& stmt, EngineCut& cut);
+  Result<SqlResult> ExecRefresh(const Statement& stmt, EngineCut& cut);
+  Result<SqlResult> ExecSetPolicy(const Statement& stmt, EngineCut& cut);
   Result<SqlResult> ExecCheckpoint();
-  Result<SqlResult> ExecShowTables(const SvcEngine& eng);
-  Result<SqlResult> ExecShowViews(const SvcEngine& eng);
-  Result<SqlResult> ExecShowStats(const SvcEngine& eng);
+  Result<SqlResult> ExecShowTables(const EngineCut& cut);
+  Result<SqlResult> ExecShowViews(const EngineCut& cut);
+  Result<SqlResult> ExecShowStats(const EngineCut& cut);
   /// SHOW MAINTENANCE: the policy line plus a deterministic per-view score
   /// table (scored at elapsed_ms=0, so no wall-clock leaks into output).
-  Result<SqlResult> ExecShowMaintenance(const SvcEngine& eng);
+  Result<SqlResult> ExecShowMaintenance(const EngineCut& cut);
 
-  /// Runs a write statement. Private mode: directly on the owned engine.
-  /// Shared mode: inside one SharedEngine::Commit, so the statement's
-  /// validation + mutation are atomic and serialized against other writers,
-  /// and an error publishes nothing. Durable mode: inside one
-  /// DurableEngine::CommitLogged — same atomicity, plus the handler's
-  /// payload is WAL-appended before the commit publishes.
-  Result<SqlResult> ExecWrite(
-      const std::function<Result<SqlResult>(SvcEngine*, std::string*)>& fn);
+  /// Runs a write handler inside one EngineHandle::Write, carrying the
+  /// request's idempotency mark.
+  Result<SqlResult> ExecWrite(const Statement& stmt, WriteHandler handler);
 
   /// Rejects targets that are views or internal delta tables; returns the
-  /// base table.
-  Result<const Table*> ResolveBaseTable(const SvcEngine& eng,
-                                        const std::string& name,
-                                        const char* verb) const;
+  /// base table's logical rows.
+  Result<std::shared_ptr<const Table>> ResolveBaseTable(
+      const EngineCut& cut, const std::string& name, const char* verb) const;
 
   /// Cached encoded-primary-key sets of one relation's pending deltas, so
   /// ExecInsert's conflict checks stay O(batch) per statement instead of
   /// re-encoding the whole pending queue (O(pending)) every INSERT. The
   /// row counts validate the cache: REFRESH empties the queue and any
   /// direct engine mutation between statements changes the counts, both
-  /// of which trigger a rebuild. Only trustworthy in private mode — in
-  /// shared mode other sessions mutate the queue between statements, so
-  /// each write statement rebuilds from the fork it runs on (see
+  /// of which trigger a rebuild. Only trustworthy on a private engine — on
+  /// any other, other sessions mutate the queue between statements, so
+  /// each write statement rebuilds from the cut it runs on (see
   /// PendingKeysFor).
   struct PendingKeys {
     size_t insert_rows = 0;
@@ -355,35 +195,21 @@ class SqlSession : public SqlExecutor {
   };
 
   /// The cache to use for a write statement on `relation`: the session's
-  /// persistent cache in private mode, `scratch` (rebuilt from the current
-  /// fork) in shared mode.
+  /// persistent cache on a private engine, else `scratch` (rebuilt from
+  /// the write cut).
   PendingKeys* PendingKeysFor(const std::string& relation,
                               PendingKeys* scratch);
 
-  /// Rebuilds `cache` from the pending tables when the row counts drifted.
-  static void SyncPendingKeys(const SvcEngine& eng, const std::string& relation,
+  /// Rebuilds `cache` from the cut's logical pending rows when the row
+  /// counts drifted.
+  static void SyncPendingKeys(const EngineCut& cut, const std::string& relation,
                               const std::vector<size_t>& pk_indices,
                               PendingKeys* cache);
 
-  /// Aggregated pending-delta keys for one relation across every shard of
-  /// `snap` (set semantics collapse a replicated relation's per-shard
-  /// copies back to the logical rows). Always rebuilds: sharded sessions
-  /// share the engine, so the drift check cannot be trusted.
-  static void SyncPendingKeysSharded(const ShardedSnapshot& snap,
-                                     const std::string& relation,
-                                     const std::vector<size_t>& pk_indices,
-                                     PendingKeys* cache);
-
-  /// INSERT row validation shared with the sharded path: checks arity and
-  /// value types against `schema`, widening INT literals into DOUBLE
-  /// columns in place.
-  static Status CoerceInsertRows(const Statement& stmt, const Schema& schema,
-                                 std::vector<Row>* rows);
-
-  /// ExecInsert's primary-key screening, shared with the sharded path:
-  /// rejects NULL key columns, duplicates within the statement, keys
-  /// already queued for insertion, and committed keys (of `table`) not
-  /// queued for deletion. Appends each row's encoded key to `batch_keys`.
+  /// ExecInsert's primary-key screening: rejects NULL key columns,
+  /// duplicates within the statement, keys already queued for insertion,
+  /// and committed keys (of `table`) not queued for deletion. Appends each
+  /// row's encoded key to `batch_keys`.
   static Status CheckInsertKeys(const Statement& stmt, const Table& table,
                                 const std::vector<Row>& rows,
                                 const PendingKeys& pending,

@@ -41,7 +41,7 @@ Status ReplayRecord(std::string_view payload, uint64_t* epoch,
     uint64_t& have = (*idem_marks)[std::move(token)];
     have = std::max(have, seq);
   }
-  SVC_RETURN_IF_ERROR(ApplyDurableOp(op, engine));
+  SVC_RETURN_IF_ERROR(ApplyDurableOp(std::move(op), engine));
   *epoch = record_epoch;
   return Status::OK();
 }
@@ -177,15 +177,15 @@ Status DurableEngine::CommitLogged(
   return Status::OK();
 }
 
-Status DurableEngine::Apply(const DurableOp& op) {
+Status DurableEngine::Apply(DurableOp op) {
   return CommitLogged([&](SvcEngine* e, std::string* payload) {
     SVC_RETURN_IF_ERROR(EncodeDurableOp(op, payload));
-    return ApplyDurableOp(op, e);
+    return ApplyDurableOp(std::move(op), e);
   });
 }
 
 Status DurableEngine::CreateTable(const std::string& name, Table table) {
-  return Apply(DurableOp::CreateTableOp(name, table));
+  return Apply(DurableOp::CreateTableOp(name, std::move(table)));
 }
 
 Status DurableEngine::CreateView(const std::string& name, PlanPtr definition,

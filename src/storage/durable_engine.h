@@ -119,7 +119,7 @@ class DurableEngine {
   std::map<std::string, uint64_t> IdemMarks() const;
 
   /// Logs and applies `op` as one commit (the non-SQL write path).
-  Status Apply(const DurableOp& op);
+  Status Apply(DurableOp op);
 
   // ---- Convenience writers mirroring SharedEngine's -----------------------
   Status CreateTable(const std::string& name, Table table);

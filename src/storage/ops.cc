@@ -1,12 +1,14 @@
 #include "storage/ops.h"
 
+#include "core/sharded_engine.h"
+
 namespace svc {
 
-DurableOp DurableOp::CreateTableOp(std::string name, const Table& table) {
+DurableOp DurableOp::CreateTableOp(std::string name, Table table) {
   DurableOp op;
   op.kind = Kind::kCreateTable;
   op.target = std::move(name);
-  op.table = table;
+  op.table = std::move(table);
   return op;
 }
 
@@ -251,33 +253,35 @@ Result<DurableOp> DecodeDurableOp(ByteReader* r) {
   return Status::InvalidArgument("bad durable op tag " + std::to_string(tag));
 }
 
-Status ApplyDurableOp(const DurableOp& op, SvcEngine* engine) {
+Status ApplyDurableOp(DurableOp op, SvcEngine* engine) {
   switch (op.kind) {
     case DurableOp::Kind::kCreateTable:
-      return engine->db()->CreateTable(op.target, op.table);
+      return engine->db()->CreateTable(op.target, std::move(op.table));
     case DurableOp::Kind::kCreateView:
-      return engine->CreateView(op.target, op.view_def->Clone(),
-                                op.sampling_key);
+      return engine->CreateView(op.target, std::move(op.view_def),
+                                std::move(op.sampling_key));
     case DurableOp::Kind::kInsert:
-      for (const Row& row : op.rows) {
-        SVC_RETURN_IF_ERROR(engine->InsertRecord(op.target, row));
+      for (Row& row : op.rows) {
+        SVC_RETURN_IF_ERROR(engine->InsertRecord(op.target, std::move(row)));
       }
       return Status::OK();
     case DurableOp::Kind::kDelete:
-      for (const Row& row : op.rows) {
-        SVC_RETURN_IF_ERROR(engine->DeleteRecord(op.target, row));
+      for (Row& row : op.rows) {
+        SVC_RETURN_IF_ERROR(engine->DeleteRecord(op.target, std::move(row)));
       }
       return Status::OK();
     case DurableOp::Kind::kIngest: {
       DeltaSet batch;
-      for (const auto& [rel, rows] : op.ingest_inserts) {
-        for (const Row& row : rows) {
-          SVC_RETURN_IF_ERROR(batch.AddInsert(*engine->db(), rel, row));
+      for (auto& [rel, rows] : op.ingest_inserts) {
+        for (Row& row : rows) {
+          SVC_RETURN_IF_ERROR(
+              batch.AddInsert(*engine->db(), rel, std::move(row)));
         }
       }
-      for (const auto& [rel, rows] : op.ingest_deletes) {
-        for (const Row& row : rows) {
-          SVC_RETURN_IF_ERROR(batch.AddDelete(*engine->db(), rel, row));
+      for (auto& [rel, rows] : op.ingest_deletes) {
+        for (Row& row : rows) {
+          SVC_RETURN_IF_ERROR(
+              batch.AddDelete(*engine->db(), rel, std::move(row)));
         }
       }
       return engine->IngestDeltas(std::move(batch));
@@ -290,6 +294,29 @@ Status ApplyDurableOp(const DurableOp& op, SvcEngine* engine) {
     case DurableOp::Kind::kSetPolicy:
       engine->set_maintenance_policy(op.policy);
       return Status::OK();
+  }
+  return Status::Internal("unhandled durable op kind");
+}
+
+Status ApplyDurableOp(DurableOp op, ShardedEngine* engine) {
+  switch (op.kind) {
+    case DurableOp::Kind::kCreateTable:
+      return engine->CreateTable(op.target, std::move(op.table));
+    case DurableOp::Kind::kCreateView:
+      return engine->CreateView(op.target, std::move(op.view_def),
+                                std::move(op.sampling_key));
+    case DurableOp::Kind::kInsert:
+      return engine->InsertRows(op.target, std::move(op.rows));
+    case DurableOp::Kind::kDelete:
+      return engine->DeleteRows(op.target, std::move(op.rows));
+    case DurableOp::Kind::kIngest:
+      return Status::NotSupported(
+          "a sharded engine queues one relation per statement; it has no "
+          "multi-relation delta batch");
+    case DurableOp::Kind::kRefresh:
+      return engine->Refresh();
+    case DurableOp::Kind::kSetPolicy:
+      return engine->SetMaintenancePolicy(op.policy);
   }
   return Status::Internal("unhandled durable op kind");
 }

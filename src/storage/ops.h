@@ -11,6 +11,8 @@
 
 namespace svc {
 
+class ShardedEngine;
+
 /// One logical engine mutation, as logged to the WAL and replayed at
 /// recovery. Each successful SharedEngine commit maps to exactly one op;
 /// replaying ops 1..E against an empty engine (or a checkpoint) lands on
@@ -40,7 +42,7 @@ struct DurableOp {
   std::vector<std::pair<std::string, std::vector<Row>>> ingest_deletes;
   MaintenancePolicyConfig policy;  ///< kSetPolicy
 
-  static DurableOp CreateTableOp(std::string name, const Table& table);
+  static DurableOp CreateTableOp(std::string name, Table table);
   static DurableOp CreateViewOp(std::string name, PlanPtr definition,
                                 std::vector<std::string> sampling_key);
   static DurableOp InsertOp(std::string relation, std::vector<Row> rows);
@@ -62,11 +64,19 @@ Result<MaintenancePolicyConfig> DecodeMaintenancePolicy(ByteReader* r);
 Status EncodeDurableOp(const DurableOp& op, std::string* out);
 Result<DurableOp> DecodeDurableOp(ByteReader* r);
 
-/// Applies `op` to `engine` through the same entry points the live commit
-/// used. REFRESH maps to MaintainAllInPlace — callers run it on a
-/// disposable fork or a recovery engine that is rebuilt from scratch on
-/// error.
-Status ApplyDurableOp(const DurableOp& op, SvcEngine* engine);
+/// Applies `op` to `engine`: the one function both the live write path
+/// (SqlSession, through EngineCut::Apply) and WAL replay run, so a
+/// recovered engine went through exactly the entry points the live commit
+/// did. Takes `op` by value and moves its rows into the delta queue.
+/// REFRESH maps to MaintainAllInPlace — callers run it on a disposable fork
+/// or a recovery engine that is rebuilt from scratch on error.
+Status ApplyDurableOp(DurableOp op, SvcEngine* engine);
+
+/// Routes `op` to the sharded engine's statement methods (CreateTable,
+/// CreateView, InsertRows, DeleteRows, Refresh, SetMaintenancePolicy), each
+/// of which publishes one new cut. kIngest has no sharded counterpart and
+/// fails with NotSupported.
+Status ApplyDurableOp(DurableOp op, ShardedEngine* engine);
 
 }  // namespace svc
 

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "core/sharded_engine.h"
 #include "core/shared_engine.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -567,6 +568,49 @@ TEST(ChaosDeadlineTest, ExpiredCancelTokenFailsBeforeMutation) {
   auto rows = session.Execute("SELECT k FROM t;");
   SVC_ASSERT_OK(rows.status());
   EXPECT_EQ(rows->rows.NumRows(), 2u);
+}
+
+// A request deadline cancels a long plain SELECT on every engine mode. The
+// sharded engine runs plain SELECTs over its gathered catalog, and once ran
+// them with the shard's executor options, which never carried the request's
+// token: the query ran to completion past its deadline. With one executor
+// thread the token is polled on operator entry, so the expired deadline
+// lands at the second UNION branch.
+TEST(ChaosDeadlineTest, DeadlineCancelsPlainSelectOnEveryEngine) {
+  std::string rows;
+  for (int k = 0; k < 900; ++k) {
+    if (k > 0) rows += ", ";
+    rows += "(" + std::to_string(k) + ", " + std::to_string(k % 3) + ")";
+  }
+  std::vector<std::pair<std::string, EngineHandle>> engines;
+  engines.emplace_back(
+      "shared",
+      EngineHandle::Shared(std::make_shared<SharedEngine>(Database())));
+  engines.emplace_back(
+      "4 shards",
+      EngineHandle::Sharded(std::make_shared<ShardedEngine>(Database(), 4)));
+  for (auto& [mode, handle] : engines) {
+    SCOPED_TRACE(mode);
+    SqlSession session(std::move(handle));
+    const std::vector<std::string> setup = {
+        "CREATE TABLE t1 (k INT, v INT, PRIMARY KEY (k));",
+        "CREATE TABLE t2 (k INT, v INT, PRIMARY KEY (k));",
+        "INSERT INTO t1 VALUES " + rows + ";",
+        "INSERT INTO t2 VALUES " + rows + ";",
+        "REFRESH ALL;",
+    };
+    for (const std::string& sql : setup) {
+      SVC_ASSERT_OK(session.Execute(sql).status());
+    }
+    CancelToken token = CancelToken::After(20);
+    session.set_cancel_token(&token);
+    auto slow = session.Execute(
+        "SELECT t1.k FROM t1, t2 WHERE t1.v = t2.v UNION "
+        "SELECT t2.k FROM t1, t2 WHERE t1.v = t2.v;");
+    session.set_cancel_token(nullptr);
+    ASSERT_FALSE(slow.ok());
+    EXPECT_EQ(slow.status().code(), StatusCode::kDeadlineExceeded);
+  }
 }
 
 // ---- Exactly-once retry, durable -------------------------------------------

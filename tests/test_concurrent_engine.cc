@@ -128,7 +128,7 @@ TEST(ConcurrentEngineTest, ReadersSeeOnlyCommittedEpochsDuringRefresh) {
   // Answers come from a fresh private session per epoch (a CoW copy of the
   // replica), so no session state leaks between epochs.
   auto answer_of = [&](const SvcEngine& engine) {
-    SqlSession session{SvcEngine(engine)};
+    SqlSession session(EngineHandle::Private(SvcEngine(engine)));
     std::vector<std::vector<std::string>> answers;
     for (const char* sql : kQueries) {
       auto r = session.Execute(sql);
@@ -157,7 +157,7 @@ TEST(ConcurrentEngineTest, ReadersSeeOnlyCommittedEpochsDuringRefresh) {
   readers.reserve(kReaders);
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
-      SqlSession session(shared);
+      SqlSession session(EngineHandle::Shared(shared));
       bool counted = false;
       size_t next_query = static_cast<size_t>(t);
       auto observe = [&]() -> bool {

@@ -1,14 +1,18 @@
 // Randomized differential harness (ISSUE 4, extended by ISSUE 5): generate
 // random schemas, committed loads, delta batches, and SVC queries; run them
-// through the SQL serving path on a *shared* snapshot-isolated engine,
-// through the direct C++ Query/QueryGrouped API on a *private* engine, and
-// through a third private engine with the cleaned-sample cache disabled,
-// and assert the answers are bit-identical — per value, CI bound,
-// estimator mode, and sample count — at num_threads ∈ {1, 4} and across
-// snapshot epochs (before and after the maintenance commit). The first two
-// engines serve from the cache (the shared one advancing it across ingest
-// commits), so every assertion doubles as a cache-on vs cache-off identity
-// check on the ingest→query→refresh loop.
+// through the SQL serving path in every engine mode, through the direct C++
+// Query/QueryGrouped API on a *private* engine, and through a third private
+// engine with the cleaned-sample cache disabled, and assert the answers are
+// bit-identical — per value, CI bound, estimator mode, and sample count — at
+// num_threads ∈ {1, 4} and across snapshot epochs (before and after the
+// maintenance commit). The SQL sessions run one statement path over a
+// shared engine (the reference), a private engine, a durable engine and
+// sharded engines at every count in kShardCounts; every statement's full
+// SqlResult — kind, message, rows bit for bit — must match across them, and
+// a fixed list of failing statements must fail with the same StatusCode and
+// message in every mode. The cached engines advance their caches across
+// ingest commits, so every assertion doubles as a cache-on vs cache-off
+// identity check on the ingest→query→refresh loop.
 //
 // Every trial is deterministic from its seed; a failure's SCOPED_TRACE
 // prints `seed=N round=R query="..."`, so a repro is
@@ -17,8 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,6 +36,7 @@
 #include "core/svc.h"
 #include "sql/planner.h"
 #include "sql/session.h"
+#include "storage/durable_engine.h"
 #include "tests/test_util.h"
 
 namespace svc {
@@ -169,18 +176,41 @@ uint64_t BitsOf(double d) {
   return u;
 }
 
-/// Asserts two SQL results carry the same rows bit-for-bit (doubles by
-/// IEEE bit pattern — the shard-invariance contract is bitwise, not
-/// approximate).
-void ExpectResultsBitIdentical(const SqlResult& got, const SqlResult& want) {
+/// A result's rows; kRows results (plain SELECT, SHOW) sorted by value. A
+/// plain SELECT without ORDER BY has no defined row order, and a sharded
+/// engine answers it over relations gathered in canonical key order, while
+/// an unsharded table keeps its storage order.
+std::vector<Row> ComparableRows(const SqlResult& r) {
+  std::vector<Row> rows(r.rows.rows().begin(), r.rows.rows().end());
+  if (r.kind == SqlResultKind::kRows) {
+    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+      return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                          b.end());
+    });
+  }
+  return rows;
+}
+
+/// Asserts two statement results are identical: kind, message, estimator
+/// mode, degraded flag, column names, and rows bit for bit (doubles by IEEE
+/// bit pattern — the cross-mode contract is bitwise, not approximate).
+void ExpectSameResult(const SqlResult& got, const SqlResult& want) {
   EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.message, want.message);
   EXPECT_EQ(got.mode_used, want.mode_used);
+  EXPECT_EQ(got.degraded, want.degraded);
   ASSERT_EQ(got.rows.schema().NumColumns(), want.rows.schema().NumColumns());
-  ASSERT_EQ(got.rows.NumRows(), want.rows.NumRows());
-  for (size_t i = 0; i < want.rows.NumRows(); ++i) {
-    for (size_t c = 0; c < want.rows.schema().NumColumns(); ++c) {
-      const Value& g = got.rows.row(i)[c];
-      const Value& w = want.rows.row(i)[c];
+  for (size_t c = 0; c < want.rows.schema().NumColumns(); ++c) {
+    EXPECT_EQ(got.rows.schema().column(c).name,
+              want.rows.schema().column(c).name);
+  }
+  const std::vector<Row> got_rows = ComparableRows(got);
+  const std::vector<Row> want_rows = ComparableRows(want);
+  ASSERT_EQ(got_rows.size(), want_rows.size());
+  for (size_t i = 0; i < want_rows.size(); ++i) {
+    for (size_t c = 0; c < want_rows[i].size(); ++c) {
+      const Value& g = got_rows[i][c];
+      const Value& w = want_rows[i][c];
       ASSERT_EQ(g.type(), w.type()) << "row " << i << " col " << c;
       if (w.type() == ValueType::kDouble) {
         EXPECT_EQ(BitsOf(g.AsDouble()), BitsOf(w.AsDouble()))
@@ -212,33 +242,56 @@ void ExpectEstimateRowEq(const Row& row, size_t first_col,
             static_cast<int64_t>(e.sample_rows));
 }
 
-/// Shard counts the fourth engine config runs at. Every SQL statement is
-/// mirrored into one sharded session per count; every query must come back
-/// bit-identical to the unsharded shared session at each of them.
+/// Shard counts the sharded SQL lanes run at.
 constexpr int kShardCounts[] = {1, 2, 4};
 
+/// One SQL path under test: a session over one engine mode.
+struct SqlLane {
+  std::string mode;
+  std::unique_ptr<SqlSession> session;
+};
+
 /// The differential set under test: the same logical engine state reached
-/// through (a) SQL statements on a SharedEngine, (b) direct C++ calls on a
-/// private SvcEngine, (c) a cache-off private engine, and (d) scatter-
-/// gather ShardedEngine sessions at every count in kShardCounts.
+/// through (a) SQL statements in every engine mode — lanes[0] on a
+/// SharedEngine is the reference, then a private, a durable, and a sharded
+/// lane per count in kShardCounts — (b) direct C++ calls on a private
+/// SvcEngine, and (c) a cache-off private engine.
 struct EnginePair {
   std::shared_ptr<SharedEngine> shared;
-  std::unique_ptr<SqlSession> sql;     // session over `shared`
+  std::vector<SqlLane> lanes;
   std::unique_ptr<SvcEngine> direct;   // private engine (cache on)
   std::unique_ptr<SvcEngine> nocache;  // private engine, cache disabled
-  std::vector<std::unique_ptr<SqlSession>> sharded;  // one per kShardCounts
   int64_t next_id = 0;
 };
 
-/// Runs one statement on the shared session and every sharded session,
-/// returning the shared session's result.
+/// Runs one statement on every lane, asserting each lane's full result
+/// equals the reference lane's; returns the reference result.
 SqlResult RunOnAllSql(EnginePair* p, const std::string& sql) {
-  SqlResult r = MustRun(p->sql.get(), sql);
-  for (auto& session : p->sharded) MustRun(session.get(), sql);
-  return r;
+  SqlResult want = MustRun(p->lanes[0].session.get(), sql);
+  for (size_t i = 1; i < p->lanes.size(); ++i) {
+    SCOPED_TRACE(p->lanes[i].mode + " lane: " + sql);
+    ExpectSameResult(MustRun(p->lanes[i].session.get(), sql), want);
+  }
+  return want;
 }
 
-EnginePair BuildPair(const Workload& w) {
+/// Runs a statement that must fail on every lane, asserting each lane's
+/// StatusCode and message equal the reference lane's.
+void ExpectSameFailureOnAll(EnginePair* p, const std::string& sql) {
+  SCOPED_TRACE(sql);
+  auto want = p->lanes[0].session->Execute(sql);
+  ASSERT_FALSE(want.ok()) << "expected an error";
+  for (size_t i = 1; i < p->lanes.size(); ++i) {
+    SCOPED_TRACE(p->lanes[i].mode + " lane");
+    auto got = p->lanes[i].session->Execute(sql);
+    ASSERT_FALSE(got.ok()) << "expected an error";
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+  }
+}
+
+/// `data_dir` holds the durable lane's WAL and checkpoints.
+EnginePair BuildPair(const Workload& w, const std::string& data_dir) {
   EnginePair p;
   // Direct path: tables built in memory, view over the committed state.
   Database db;
@@ -262,10 +315,22 @@ EnginePair BuildPair(const Workload& w) {
   // (INSERT queues deltas; REFRESH ALL commits the initial load so the
   // view materializes over the same committed rows, in the same order).
   p.shared = std::make_shared<SharedEngine>(Database());
-  p.sql = std::make_unique<SqlSession>(p.shared);
+  auto add_lane = [&](std::string mode, EngineHandle handle) {
+    p.lanes.push_back(
+        {std::move(mode), std::make_unique<SqlSession>(std::move(handle))});
+  };
+  add_lane("shared", EngineHandle::Shared(p.shared));
+  add_lane("private", EngineHandle::Private());
+  DurableOptions dopts;
+  dopts.data_dir = data_dir;
+  dopts.wal.policy = FsyncPolicy::kOff;  // crash safety is not under test
+  auto durable = DurableEngine::Open(dopts);
+  EXPECT_TRUE(durable.ok()) << durable.status().ToString();
+  if (durable.ok()) add_lane("durable", EngineHandle::Durable(*durable));
   for (int shards : kShardCounts) {
-    p.sharded.push_back(std::make_unique<SqlSession>(EngineHandle::Sharded(
-        std::make_shared<ShardedEngine>(Database(), shards))));
+    add_lane(std::to_string(shards) + "-shard",
+             EngineHandle::Sharded(
+                 std::make_shared<ShardedEngine>(Database(), shards)));
   }
   RunOnAllSql(&p,
               "CREATE TABLE F (id INT, g INT, v DOUBLE, PRIMARY KEY (id))");
@@ -320,27 +385,19 @@ void ApplyRandomDeltas(Rng* rng, const Workload& w, EnginePair* p,
   }
 }
 
-/// Runs `q` through both paths at `num_threads` and asserts bit-identity.
+/// Runs `q` through every path at `num_threads` and asserts bit-identity.
 void CheckQuery(const RandomQuery& q, EnginePair* p, int num_threads) {
   SCOPED_TRACE("threads=" + std::to_string(num_threads) +
                " query=\"" + q.sql + "\"");
   SvcQueryOptions opts = q.opts;
   opts.exec.num_threads = num_threads;
   opts.estimator.num_threads = num_threads;
-  // The session inherits thread counts via its defaults; WITH SVC(...)
+  // The sessions inherit thread counts via their defaults; WITH SVC(...)
   // overrides ratio/mode per query, exactly like the direct opts.
-  p->sql->default_svc_options() = opts;
+  for (SqlLane& lane : p->lanes) lane.session->default_svc_options() = opts;
 
-  SqlResult got = MustRun(p->sql.get(), q.sql);
+  SqlResult got = RunOnAllSql(p, q.sql);
   if (got.kind != SqlResultKind::kEstimate) return;  // MustRun already failed
-  // The fourth config: the same query on the scatter-gather sessions must
-  // reproduce the unsharded answer bit-for-bit at every shard count.
-  for (size_t si = 0; si < p->sharded.size(); ++si) {
-    SCOPED_TRACE("shards=" + std::to_string(kShardCounts[si]));
-    p->sharded[si]->default_svc_options() = opts;
-    SqlResult sharded_got = MustRun(p->sharded[si].get(), q.sql);
-    ExpectResultsBitIdentical(sharded_got, got);
-  }
   if (!q.grouped) {
     SVC_ASSERT_OK_AND_ASSIGN(SvcAnswer want, p->direct->Query("V", q.direct,
                                                               opts));
@@ -392,38 +449,91 @@ void CheckQuery(const RandomQuery& q, EnginePair* p, int num_threads) {
   }
 }
 
+/// Statements that must fail identically in every mode, given one id with a
+/// pending insert and one committed id not queued for deletion.
+std::vector<std::string> FailingStatements(int64_t pending_id,
+                                           int64_t committed_id) {
+  const std::string pending = std::to_string(pending_id);
+  const std::string committed = std::to_string(committed_id);
+  return {
+      "INSERT INTO F VALUES (" + pending + ", 1, 1.5)",
+      "INSERT INTO F VALUES (" + committed + ", 1, 1.5)",
+      "INSERT INTO F VALUES (999999, 1, 1.5), (999999, 2, 2.5)",
+      "INSERT INTO F VALUES (NULL, 1, 1.5)",
+      "INSERT INTO F VALUES (999999, 1)",
+      "INSERT INTO F VALUES (999999, 'x', 1.5)",
+      "INSERT INTO V VALUES (1, 2, 3.5)",
+      "DELETE FROM V",
+      "DELETE FROM __ins_F",
+      "INSERT INTO Nope VALUES (1)",
+      "DELETE FROM Nope WHERE id = 1",
+      "SELECT COUNT(1) FROM Nope WITH SVC(ratio=0.5)",
+      "REFRESH VIEW Nope",
+      "CREATE TABLE F (id INT, PRIMARY KEY (id))",
+      "CREATE TABLE G (id INT)",
+      "CREATE MATERIALIZED VIEW V AS SELECT g, COUNT(1) AS c FROM F "
+      "GROUP BY g",
+      "CREATE MATERIALIZED VIEW D AS SELECT g, COUNT(1) AS c FROM F "
+      "GROUP BY g",
+      "SELECT COUNT(1) FROM F WITH SVC(ratio=0.5)",
+      "SET MAINTENANCE POLICY ON Nope (budget=0.1)",
+  };
+}
+
+/// Deterministic reads whose full results must match in every mode.
+constexpr const char* kCatalogReads[] = {
+    "SHOW TABLES",
+    "SHOW VIEWS",
+    "SHOW MAINTENANCE",
+    "SELECT g, c, sv FROM V WHERE c > 1",
+};
+
 constexpr uint64_t kSeeds[] = {1, 2, 3, 4, 5, 6, 7, 8, 11, 42};
 
 TEST(DifferentialTest, SqlOnSharedEngineMatchesDirectPrivateEngine) {
   for (uint64_t seed : kSeeds) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    Rng rng(seed);
-    Workload w = GenerateWorkload(&rng);
-    EnginePair pair = BuildPair(w);
-    std::map<int64_t, Row> committed = w.committed_by_id;
+    const std::string data_dir = ::testing::TempDir() + "/svc_differential_" +
+                                 std::to_string(seed);
+    std::filesystem::remove_all(data_dir);
+    {
+      Rng rng(seed);
+      Workload w = GenerateWorkload(&rng);
+      EnginePair pair = BuildPair(w, data_dir);
+      std::map<int64_t, Row> committed = w.committed_by_id;
 
-    for (int round = 0; round < 3; ++round) {
-      SCOPED_TRACE("round=" + std::to_string(round));
-      ApplyRandomDeltas(&rng, w, &pair, &committed);
-      const uint64_t stale_epoch = pair.shared->epoch();
-      for (int i = 0; i < 4; ++i) {
-        RandomQuery q = GenerateQuery(&rng);
-        for (int threads : {1, 4}) CheckQuery(q, &pair, threads);
-      }
-      EXPECT_EQ(pair.shared->epoch(), stale_epoch)
-          << "reads must not publish new engine versions";
+      for (int round = 0; round < 3; ++round) {
+        SCOPED_TRACE("round=" + std::to_string(round));
+        ApplyRandomDeltas(&rng, w, &pair, &committed);
+        const uint64_t stale_epoch = pair.shared->epoch();
+        if (round == 0) {
+          for (const std::string& sql : FailingStatements(
+                   pair.next_id - 1, committed.begin()->first)) {
+            ExpectSameFailureOnAll(&pair, sql);
+          }
+        }
+        for (const char* sql : kCatalogReads) RunOnAllSql(&pair, sql);
+        for (int i = 0; i < 4; ++i) {
+          RandomQuery q = GenerateQuery(&rng);
+          for (int threads : {1, 4}) CheckQuery(q, &pair, threads);
+        }
+        EXPECT_EQ(pair.shared->epoch(), stale_epoch)
+            << "reads and failed writes must not publish new engine versions";
 
-      // Maintenance commit on every path: a new snapshot epoch. Queries
-      // must stay bit-identical against the fresh state too.
-      RunOnAllSql(&pair, "REFRESH ALL");
-      SVC_ASSERT_OK(pair.direct->MaintainAll());
-      SVC_ASSERT_OK(pair.nocache->MaintainAll());
-      EXPECT_EQ(pair.shared->epoch(), stale_epoch + 1);
-      for (int i = 0; i < 2; ++i) {
-        RandomQuery q = GenerateQuery(&rng);
-        for (int threads : {1, 4}) CheckQuery(q, &pair, threads);
+        // Maintenance commit on every path: a new snapshot epoch. Queries
+        // must stay bit-identical against the fresh state too.
+        RunOnAllSql(&pair, "REFRESH ALL");
+        SVC_ASSERT_OK(pair.direct->MaintainAll());
+        SVC_ASSERT_OK(pair.nocache->MaintainAll());
+        EXPECT_EQ(pair.shared->epoch(), stale_epoch + 1);
+        for (const char* sql : kCatalogReads) RunOnAllSql(&pair, sql);
+        for (int i = 0; i < 2; ++i) {
+          RandomQuery q = GenerateQuery(&rng);
+          for (int threads : {1, 4}) CheckQuery(q, &pair, threads);
+        }
       }
     }
+    std::filesystem::remove_all(data_dir);
   }
 }
 

@@ -162,7 +162,7 @@ std::vector<Lane> MakeLanes() {
   Lane l;
   l.name = "shared";
   l.shared = std::make_shared<SharedEngine>(Database());
-  l.sql = std::make_unique<SqlSession>(l.shared);
+  l.sql = std::make_unique<SqlSession>(EngineHandle::Shared(l.shared));
   lanes.push_back(std::move(l));
   for (int shards : kShardCounts) {
     Lane s;
@@ -367,7 +367,7 @@ TEST(MaintenancePolicyTest, PolicyRefreshCrashRecoversPreRefreshState) {
     auto opened = DurableEngine::Open(o);
     if (!opened.ok()) _exit(3);
     auto eng = std::move(opened).value();
-    SqlSession session(eng);
+    SqlSession session(EngineHandle::Durable(eng));
     for (const std::string& s : sql) {
       if (!session.Execute(s).ok()) _exit(4);
     }
@@ -538,7 +538,7 @@ TEST(ViewPolicyOverrideTest, OverrideSurvivesDurableRecovery) {
     DurableOptions o;
     o.data_dir = dir;
     SVC_ASSERT_OK_AND_ASSIGN(auto eng, DurableEngine::Open(o));
-    SqlSession session(eng);
+    SqlSession session(EngineHandle::Durable(eng));
     MustRun(&session, "CREATE TABLE F (id INT, g INT, PRIMARY KEY (id))");
     MustRun(&session, "INSERT INTO F VALUES (1, 1), (2, 2)");
     MustRun(&session, "REFRESH ALL");

@@ -298,8 +298,9 @@ TEST_F(RecoveryTest, SqlSessionDurableStatsAndCheckpointStatement) {
   DurableOptions o;
   o.data_dir = dir_;
   SVC_ASSERT_OK_AND_ASSIGN(auto eng, DurableEngine::Open(o));
-  SqlSession session(eng);
-  EXPECT_TRUE(session.is_shared());
+  EngineHandle handle = EngineHandle::Durable(eng);
+  EXPECT_TRUE(handle.is_shared());
+  SqlSession session(std::move(handle));
   SVC_ASSERT_OK(session
                     .Execute("CREATE TABLE T (a INT, b INT, "
                              "PRIMARY KEY (a));")
@@ -331,7 +332,7 @@ TEST_F(RecoveryTest, SqlSessionDurableStatsAndCheckpointStatement) {
   EXPECT_EQ(stats.rows.row(0)[9].AsInt(), 4);
 
   // Non-durable sessions accept CHECKPOINT as a no-op...
-  SqlSession plain;
+  SqlSession plain(EngineHandle::Private());
   SVC_ASSERT_OK_AND_ASSIGN(SqlResult skipped, plain.Execute("CHECKPOINT;"));
   EXPECT_NE(skipped.message.find("skipped"), std::string::npos);
   // ...and keep the original seven SHOW STATS columns.
@@ -355,7 +356,7 @@ TEST_F(RecoveryTest, DeltaVersionSurvivesCheckpointAndReplay) {
     DurableOptions o;
     o.data_dir = dir_;
     SVC_ASSERT_OK_AND_ASSIGN(auto eng, DurableEngine::Open(o));
-    SqlSession session(eng);
+    SqlSession session(EngineHandle::Durable(eng));
     SVC_ASSERT_OK(session
                       .Execute("CREATE TABLE T (a INT, b INT, "
                                "PRIMARY KEY (a));")
@@ -379,7 +380,7 @@ TEST_F(RecoveryTest, DeltaVersionSurvivesCheckpointAndReplay) {
     DurableOptions o;
     o.data_dir = dir_;
     SVC_ASSERT_OK_AND_ASSIGN(auto eng, DurableEngine::Open(o));
-    SqlSession session(eng);
+    SqlSession session(EngineHandle::Durable(eng));
     SVC_ASSERT_OK_AND_ASSIGN(SqlResult stats, session.Execute("SHOW STATS;"));
     EXPECT_EQ(stats.rows.row(0)[6].AsInt(), before);
     // Queue another logged commit so the next open replays a WAL tail.
@@ -391,7 +392,7 @@ TEST_F(RecoveryTest, DeltaVersionSurvivesCheckpointAndReplay) {
     DurableOptions o;
     o.data_dir = dir_;
     SVC_ASSERT_OK_AND_ASSIGN(auto eng, DurableEngine::Open(o));
-    SqlSession session(eng);
+    SqlSession session(EngineHandle::Durable(eng));
     SVC_ASSERT_OK_AND_ASSIGN(SqlResult stats, session.Execute("SHOW STATS;"));
     EXPECT_GT(stats.rows.row(0)[6].AsInt(), before);
   }
@@ -408,7 +409,7 @@ TEST_F(RecoveryTest, MaintenancePolicyReplaysFromWalAndCheckpoint) {
     DurableOptions o;
     o.data_dir = dir_;
     SVC_ASSERT_OK_AND_ASSIGN(auto eng, DurableEngine::Open(o));
-    SqlSession session(eng);
+    SqlSession session(EngineHandle::Durable(eng));
     SVC_ASSERT_OK(
         session.Execute("CREATE TABLE T (a INT, PRIMARY KEY (a));").status());
     SVC_ASSERT_OK(session
@@ -442,7 +443,7 @@ TEST_F(RecoveryTest, IncrementalCheckpointSkipsUnchangedTables) {
   DurableOptions o;
   o.data_dir = dir_;
   SVC_ASSERT_OK_AND_ASSIGN(auto eng, DurableEngine::Open(o));
-  SqlSession session(eng);
+  SqlSession session(EngineHandle::Durable(eng));
   SVC_ASSERT_OK(
       session.Execute("CREATE TABLE T (a INT, b INT, PRIMARY KEY (a));")
           .status());

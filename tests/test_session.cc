@@ -20,7 +20,7 @@ constexpr char kVisitViewSql[] =
 
 class SessionTest : public ::testing::Test {
  protected:
-  SessionTest() : session_(MakeLogVideoDb()) {}
+  SessionTest() : session_(EngineHandle::Private(MakeLogVideoDb())) {}
 
   SqlResult Run(const std::string& sql) {
     auto r = session_.Execute(sql);

@@ -1,10 +1,13 @@
 // Regression for the sharded SHOW STATS over-count: cache counters and the
 // delta version must be logical, per-statement quantities — one
-// scatter-gather query is one hit/miss/clean, and the delta version is the
-// coordinator's publish counter — so the whole SHOW STATS (and
-// SHOW MAINTENANCE) relation comes back bit-identical at every shard
-// count. Before the fix, counters and the version summed across shards, so
-// the same statement stream reported 4x the activity at --shards 4.
+// scatter-gather query is one hit/miss/clean, and the delta version counts
+// logical rows queued plus one per refresh, exactly like an unsharded
+// engine's pending queue — so the whole SHOW STATS (and SHOW MAINTENANCE)
+// relation comes back bit-identical at every shard count, and the delta
+// version matches a shared engine's. Before the fix, counters and the
+// version summed across shards, so the same statement stream reported 4x
+// the activity at --shards 4; later the version was the coordinator's
+// publish counter, which no unsharded engine reports.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,7 @@
 #include <vector>
 
 #include "core/sharded_engine.h"
+#include "core/shared_engine.h"
 #include "sql/session.h"
 #include "tests/test_util.h"
 
@@ -89,14 +93,34 @@ TEST(ShardedStatsTest, ShowStatsIsShardCountInvariant) {
   // Spot-check the logical meaning at shards=1 so invariance can't be
   // satisfied by everything being zero: three cached-serving queries ran
   // before the refresh against the same pending state — the first cleans,
-  // the later ones hit or advance — and the delta version counts
-  // coordinator publishes, not per-shard queue mutations.
+  // the later ones hit or advance.
   const SqlResult& s = stats[0];
   ASSERT_EQ(s.rows.NumRows(), 1u);
   const int64_t hits = s.rows.row(0)[1].AsInt();
   const int64_t misses = s.rows.row(0)[2].AsInt();
   EXPECT_GT(hits + misses, 0);
   EXPECT_EQ(s.rows.row(0)[5].AsInt(), 0);  // refreshed: nothing pending
+}
+
+TEST(ShardedStatsTest, DeltaVersionMatchesSharedEngine) {
+  // The delta_version column is the pending queue's logical mutation
+  // counter on every engine: each sharded session must report exactly what
+  // a shared-engine session reports after the same statement stream.
+  SqlSession shared(
+      EngineHandle::Shared(std::make_shared<SharedEngine>(Database())));
+  for (const char* sql : kScript) MustRun(&shared, sql);
+  const SqlResult want = MustRun(&shared, "SHOW STATS");
+  ASSERT_EQ(want.rows.NumRows(), 1u);
+  EXPECT_EQ(want.rows.schema().column(6).name, "delta_version");
+  for (int shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SqlSession session(EngineHandle::Sharded(
+        std::make_shared<ShardedEngine>(Database(), shards)));
+    for (const char* sql : kScript) MustRun(&session, sql);
+    const SqlResult got = MustRun(&session, "SHOW STATS");
+    ASSERT_EQ(got.rows.NumRows(), 1u);
+    EXPECT_EQ(got.rows.row(0)[6].AsInt(), want.rows.row(0)[6].AsInt());
+  }
 }
 
 TEST(ShardedStatsTest, PendingRowsCountLogicalRowsOnce) {

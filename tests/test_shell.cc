@@ -16,7 +16,7 @@ constexpr char kSetupSql[] =
     "REFRESH ALL;";
 
 TEST(ShellTest, RunScriptPrintsTablesAndMessages) {
-  SqlSession session;
+  SqlSession session(EngineHandle::Private());
   std::ostringstream out;
   Shell shell(&session, &out);
   SVC_ASSERT_OK(shell.RunScript(std::string(kSetupSql) +
@@ -31,7 +31,7 @@ TEST(ShellTest, RunScriptPrintsTablesAndMessages) {
 }
 
 TEST(ShellTest, EchoModePrefixesStatements) {
-  SqlSession session;
+  SqlSession session(EngineHandle::Private());
   std::ostringstream out;
   ShellOptions opts;
   opts.echo = true;
@@ -42,7 +42,7 @@ TEST(ShellTest, EchoModePrefixesStatements) {
 }
 
 TEST(ShellTest, StopsOnErrorByDefault) {
-  SqlSession session;
+  SqlSession session(EngineHandle::Private());
   std::ostringstream out;
   Shell shell(&session, &out);
   const Status s = shell.RunScript(
@@ -53,7 +53,7 @@ TEST(ShellTest, StopsOnErrorByDefault) {
 }
 
 TEST(ShellTest, KeepGoingRunsPastErrors) {
-  SqlSession session;
+  SqlSession session(EngineHandle::Private());
   std::ostringstream out;
   ShellOptions opts;
   opts.keep_going = true;
@@ -66,7 +66,7 @@ TEST(ShellTest, KeepGoingRunsPastErrors) {
 }
 
 TEST(ShellTest, InteractiveStatementsSpanLines) {
-  SqlSession session;
+  SqlSession session(EngineHandle::Private());
   std::ostringstream out;
   Shell shell(&session, &out);
   std::istringstream in(
@@ -82,7 +82,7 @@ TEST(ShellTest, InteractiveStatementsSpanLines) {
 }
 
 TEST(ShellTest, InteractiveSemicolonInCommentDoesNotSubmit) {
-  SqlSession session;
+  SqlSession session(EngineHandle::Private());
   std::ostringstream out;
   Shell shell(&session, &out);
   std::istringstream in(
@@ -97,7 +97,7 @@ TEST(ShellTest, InteractiveSemicolonInCommentDoesNotSubmit) {
 }
 
 TEST(ShellTest, InteractiveSurvivesStatementErrorsButReportsThem) {
-  SqlSession session;
+  SqlSession session(EngineHandle::Private());
   std::ostringstream out;
   Shell shell(&session, &out);
   std::istringstream in(
@@ -119,7 +119,7 @@ TEST(ShellTest, QuickstartScriptRunsClean) {
   std::ostringstream script;
   script << in.rdbuf();
 
-  SqlSession session;
+  SqlSession session(EngineHandle::Private());
   std::ostringstream out;
   Shell shell(&session, &out);
   SVC_ASSERT_OK(shell.RunScript(script.str()));
