@@ -7,6 +7,8 @@
 // This is the canonical before/after harness for executor work: it emits
 // BENCH_executor.json and, with --min-speedup, acts as a regression gate
 // on the join+aggregate pipeline (scripts/check.sh runs it at 3.0x).
+// Rewriting the file keeps the blocks other benches merged into it
+// (--merge-json: fig14_net, fig14_chaos, policy_pareto).
 //
 // A second section measures parallel scaling: the current executor at
 // threads=1 vs threads=N (--threads, default 8) on the same plans, with a
@@ -14,6 +16,11 @@
 // --min-parallel-speedup gates the join+aggregate parallel speedup; it
 // defaults to off because the attainable ratio is bounded by the physical
 // core count of the machine (a 1-core container can only show 1.0x).
+//
+// The dml section times a 2-key DELETE and a 10-row INSERT through a
+// SqlSession over TPCD lineitem at SF 0.01 and 0.04; the run exits 1 when
+// the DELETE slows by more than 1.5x on the 4x larger table (key-addressed
+// writes must not cost in proportion to the table).
 //
 // Usage: micro_ops [--rows N] [--reps N] [--out FILE] [--min-speedup X]
 //                  [--threads N] [--min-parallel-speedup X]
@@ -24,6 +31,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -36,6 +44,7 @@
 #include "core/sharded_engine.h"
 #include "core/svc.h"
 #include "relational/executor.h"
+#include "sql/session.h"
 #include "storage/durable_engine.h"
 #include "tpcd/tpcd_gen.h"
 #include "tpcd/tpcd_views.h"
@@ -269,6 +278,27 @@ size_t RunPlan(const PlanNode& plan, const Database& db,
     std::exit(2);
   }
   return r->NumRows();
+}
+
+/// The blocks other benches merged into the artifact at `path`: the text
+/// from the first block a --merge-json writer appended (each starts with
+/// a line holding only ',') up to the file's final '}'. "" when there is
+/// no file or no such block.
+std::string MergedBlocks(const std::string& path) {
+  FILE* in = std::fopen(path.c_str(), "r");
+  if (in == nullptr) return "";
+  std::string content;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) content.append(buf, n);
+  std::fclose(in);
+  const size_t first = content.find("\n,\n");
+  const size_t close = content.find_last_of('}');
+  if (first == std::string::npos || close == std::string::npos ||
+      close < first) {
+    return "";
+  }
+  return content.substr(first + 1, close - first - 1);
 }
 
 }  // namespace
@@ -781,6 +811,91 @@ int main(int argc, char** argv) {
                 memo_bench.speedup());
   }
 
+  // -- Key-addressed DML: write cost vs table size ---------------------------
+  // A 2-key DELETE and a 10-row INSERT through a SqlSession on a shared
+  // engine over TPCD lineitem at two scales, 4x apart, interleaved so both
+  // see the same machine state. Both statements name whole primary keys, so
+  // neither may cost in proportion to the table: the run fails when the
+  // DELETE's median time grows by more than kMaxDmlDeleteGrowth (a scanning
+  // DELETE grows about 4x).
+  constexpr double kMaxDmlDeleteGrowth = 1.5;
+  constexpr int kDmlReps = 41;
+  struct DmlPoint {
+    double scale = 0;
+    size_t rows = 0;
+    int64_t orders = 0;
+    std::unique_ptr<SqlSession> session;
+    std::vector<double> delete_ms;
+    std::vector<double> insert_ms;
+  };
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  std::vector<DmlPoint> dml(2);
+  {
+    auto fail = [](const std::string& what) {
+      std::fprintf(stderr, "[micro_ops] dml: %s\n", what.c_str());
+      return 2;
+    };
+    for (size_t p = 0; p < dml.size(); ++p) {
+      TpcdConfig cfg;
+      cfg.scale_factor = p == 0 ? 0.01 : 0.04;
+      Result<Database> tpcd = GenerateTpcdDatabase(cfg);
+      if (!tpcd.ok()) return fail(tpcd.status().ToString());
+      dml[p].scale = cfg.scale_factor;
+      dml[p].rows = (*tpcd->GetTable("lineitem"))->NumRows();
+      dml[p].orders = static_cast<int64_t>(cfg.NumOrders());
+      dml[p].session = std::make_unique<SqlSession>(EngineHandle::Shared(
+          std::make_shared<SharedEngine>(std::move(tpcd).value())));
+    }
+    for (int i = 0; i < kDmlReps; ++i) {
+      for (DmlPoint& point : dml) {
+        // Every order has line 1, and each rep names orders no earlier rep
+        // touched, so every DELETE queues exactly two rows.
+        const std::string del =
+            "DELETE FROM lineitem WHERE (l_orderkey = " +
+            std::to_string(2 * i + 1) + " AND l_linenumber = 1) OR " +
+            "(l_orderkey = " + std::to_string(2 * i + 2) +
+            " AND l_linenumber = 1)";
+        std::string ins = "INSERT INTO lineitem VALUES ";
+        for (int ln = 1; ln <= 10; ++ln) {
+          ins += std::string(ln > 1 ? ", " : "") + "(" +
+                 std::to_string(point.orders + 1 + i) + ", " +
+                 std::to_string(ln) +
+                 ", 1, 1, 5, 100.0, 0.05, 'N', 'AIR', 19950101)";
+        }
+        Stopwatch sw;
+        Result<SqlResult> r = point.session->Execute(del);
+        point.delete_ms.push_back(sw.ElapsedMillis());
+        if (!r.ok()) return fail(r.status().ToString());
+        if (r->message.rfind("queued 2 delete(s)", 0) != 0) {
+          return fail("DELETE queued the wrong rows: " + r->message);
+        }
+        sw.Restart();
+        r = point.session->Execute(ins);
+        point.insert_ms.push_back(sw.ElapsedMillis());
+        if (!r.ok()) return fail(r.status().ToString());
+      }
+    }
+  }
+  const double dml_delete_small = median(dml[0].delete_ms);
+  const double dml_delete_large = median(dml[1].delete_ms);
+  const double dml_insert_small = median(dml[0].insert_ms);
+  const double dml_insert_large = median(dml[1].insert_ms);
+  const double dml_delete_ratio = dml_delete_large / dml_delete_small;
+  const double dml_insert_ratio = dml_insert_large / dml_insert_small;
+  std::printf("-- key-addressed DML (shared engine, TPCD lineitem, median of "
+              "%d) --\n", kDmlReps);
+  for (const DmlPoint& p : dml) {
+    std::printf("SF %-5.2f %7zu rows   DELETE 2 keys %7.3f ms   "
+                "INSERT 10 rows %7.3f ms\n",
+                p.scale, p.rows, median(p.delete_ms), median(p.insert_ms));
+  }
+  std::printf("%-16s DELETE x%.2f   INSERT x%.2f   (gate: DELETE <= "
+              "x%.2f)\n", "dml_growth", dml_delete_ratio, dml_insert_ratio,
+              kMaxDmlDeleteGrowth);
+
   // -- Durable commit latency per WAL fsync policy ---------------------------
   // One-row logged commits through a DurableEngine in a scratch directory.
   // The spread between off / every=N / always is the price of the
@@ -853,6 +968,7 @@ int main(int argc, char** argv) {
   for (const auto& r : par_results) {
     if (r.name == "join_aggregate") par_gate = &r;
   }
+  const std::string merged = MergedBlocks(out_path);
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
@@ -931,6 +1047,17 @@ int main(int argc, char** argv) {
                "    \"sample_rows\": %zu, \"answer_bit_identical\": true\n"
                "  },\n",
                sharded_bench.sample_rows);
+  std::fprintf(f,
+               "  \"dml\": {\"table\": \"lineitem\", \"engine\": \"shared\", "
+               "\"reps\": %d, \"small_rows\": %zu, \"large_rows\": %zu, "
+               "\"small_delete_ms\": %.4f, \"large_delete_ms\": %.4f, "
+               "\"delete_ratio\": %.2f, \"small_insert_ms\": %.4f, "
+               "\"large_insert_ms\": %.4f, \"insert_ratio\": %.2f, "
+               "\"max_delete_ratio\": %.2f, \"pass\": %s},\n",
+               kDmlReps, dml[0].rows, dml[1].rows, dml_delete_small,
+               dml_delete_large, dml_delete_ratio, dml_insert_small,
+               dml_insert_large, dml_insert_ratio, kMaxDmlDeleteGrowth,
+               dml_delete_ratio <= kMaxDmlDeleteGrowth ? "true" : "false");
   std::fprintf(f, "  \"wal_commit\": {\n    \"commits\": %d,\n", kWalCommits);
   std::fprintf(f, "    \"policies\": [\n");
   for (size_t i = 0; i < wal_commit_us.size(); ++i) {
@@ -941,11 +1068,12 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    ]\n  },\n");
   std::fprintf(f,
                "  \"gate\": {\"name\": \"join_aggregate\", \"min_speedup\": "
-               "%.2f, \"speedup\": %.2f, \"pass\": %s}\n}\n",
+               "%.2f, \"speedup\": %.2f, \"pass\": %s}\n",
                min_speedup, gate ? gate->speedup() : 0.0,
                (gate && (min_speedup <= 0.0 || gate->speedup() >= min_speedup))
                    ? "true"
                    : "false");
+  std::fprintf(f, "%s}\n", merged.c_str());
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
 
@@ -972,6 +1100,13 @@ int main(int argc, char** argv) {
                  "[micro_ops] REGRESSION: warm repeated SVC query is only "
                  "%.1fx faster than cold (floor %.1fx)\n",
                  cache_bench.speedup(), min_cache_speedup);
+    fail = true;
+  }
+  if (dml_delete_ratio > kMaxDmlDeleteGrowth) {
+    std::fprintf(stderr,
+                 "[micro_ops] REGRESSION: a 2-key DELETE got %.2fx slower on "
+                 "a 4x larger table (ceiling %.2fx)\n",
+                 dml_delete_ratio, kMaxDmlDeleteGrowth);
     fail = true;
   }
   return fail ? 1 : 0;

@@ -2,7 +2,8 @@
 # Full verification: Release build + tests, Debug+ASan/UBSan build + tests,
 # and the executor performance regression gate (bench/micro_ops must show
 # >= MIN_SPEEDUP on the join+aggregate pipeline vs. the string-keyed
-# baseline; see docs/PERF.md).
+# baseline, and a key-addressed DELETE must not slow down by more than
+# 1.5x on a 4x larger table; see docs/PERF.md).
 #
 # Usage: scripts/check.sh [--fast] [--tsan] [--recovery] [--server]
 #                         [--shards] [--policy] [--chaos]
@@ -344,6 +345,7 @@ gate_rc=0
 echo "== Measured speedups (BENCH_executor.json) =="
 grep -o '"gate": {[^}]*}' BENCH_executor.json | sed 's/^/  /' || true
 grep -o '"ingest_commit": \[[^]]*\]' BENCH_executor.json | sed 's/^/  /' || true
+grep -o '"dml": {[^}]*}' BENCH_executor.json | sed 's/^/  /' || true
 
 if [[ "$gate_rc" -ne 0 ]]; then
   echo "Bench gate FAILED (micro_ops exit $gate_rc)." >&2

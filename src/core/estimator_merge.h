@@ -46,6 +46,16 @@ Result<CorrespondingSamples> MergeCorrespondingSamples(
 Result<Table> MergeShardTables(
     const std::vector<std::shared_ptr<const Table>>& parts);
 
+/// The rows whose primary keys equal those of `key_rows` (full-width rows;
+/// only the key columns are read), each once, found by probing every part's
+/// key index: O(keys x parts), whatever the table's size. With `merged`,
+/// `parts` are the per-shard partitions of one table and the rows come in
+/// MergeShardTables' order; without, `parts` holds one table and the rows
+/// come in its storage order. The parts must share a primary key.
+Result<std::vector<Row>> LookupRowsByKey(const std::vector<const Table*>& parts,
+                                         const std::vector<Row>& key_rows,
+                                         bool merged);
+
 }  // namespace svc
 
 #endif  // SVC_CORE_ESTIMATOR_MERGE_H_

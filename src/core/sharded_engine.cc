@@ -566,11 +566,26 @@ Result<std::shared_ptr<const Table>> ShardedEngine::GatherTable(
     }
   }
   SVC_ASSIGN_OR_RETURN(Table merged, MergeShardTables(parts));
+  gathers_built_.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<const Table> shared =
       std::make_shared<Table>(std::move(merged));
   std::lock_guard<std::mutex> lock(gather_mu_);
   gather_cache_[name] = GatherEntry{std::move(parts), shared};
   return shared;
+}
+
+Result<std::vector<Row>> ShardedEngine::FindRowsByKey(
+    const ShardedSnapshot& snap, const std::string& relation,
+    const std::vector<Row>& key_rows) const {
+  // A partitioned relation's key may sit on any shard; a replicated
+  // relation is whole on shard 0.
+  const bool partitioned = snap.meta->IsPartitionedRelation(relation);
+  std::vector<const Table*> parts(partitioned ? snap.shards.size() : 1);
+  for (size_t s = 0; s < parts.size(); ++s) {
+    SVC_ASSIGN_OR_RETURN(parts[s],
+                         snap.shards[s]->engine.db().GetTable(relation));
+  }
+  return LookupRowsByKey(parts, key_rows, partitioned);
 }
 
 void ShardedEngine::RecordFanOutOutcome(

@@ -170,6 +170,17 @@ class ShardedEngine {
   Result<std::shared_ptr<const Table>> GatherTable(
       const ShardedSnapshot& snap, const std::string& name) const;
 
+  /// The committed rows of base relation `relation` under `snap` whose
+  /// primary keys equal those of `key_rows` (full-width rows; only the key
+  /// columns are read), each once, in GatherTable's order: primary-key
+  /// value order for a partitioned relation, shard 0's storage order for a
+  /// replicated one. Probes key indexes (every shard's for a partitioned
+  /// relation, shard 0's for a replicated one) and never gathers. Requires
+  /// a primary key.
+  Result<std::vector<Row>> FindRowsByKey(
+      const ShardedSnapshot& snap, const std::string& relation,
+      const std::vector<Row>& key_rows) const;
+
   /// A scratch catalog holding GatherTable(name) for every `name`, against
   /// which coordinator-side plans (plain SELECT) execute.
   Result<Database> GatherDatabase(const ShardedSnapshot& snap,
@@ -235,6 +246,12 @@ class ShardedEngine {
   /// its own memo for η (EngineSnapshot::engine.StaleMemoStats()).
   StaleMemo::Stats CoordinatorStaleMemoStats() const {
     return stale_memo_.stats();
+  }
+
+  /// Cross-shard merges GatherTable has built (its cache misses) over the
+  /// engine's lifetime. An in-process diagnostic, not a SHOW STATS column.
+  uint64_t CoordinatorGathersBuilt() const {
+    return gathers_built_.load(std::memory_order_relaxed);
   }
 
   /// Runs `fn` with the statement lock held, so validation done inside
@@ -311,6 +328,7 @@ class ShardedEngine {
   };
   mutable std::mutex gather_mu_;
   mutable std::map<std::string, GatherEntry> gather_cache_;
+  mutable std::atomic<uint64_t> gathers_built_{0};
 
   /// q(S) over gathered views, validated by the merged table's identity
   /// (GatherTable installs a new object whenever a shard part changes).

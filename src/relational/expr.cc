@@ -45,6 +45,14 @@ const char* BinaryOpName(BinaryOp op) {
   return "?";
 }
 
+void FlattenBinary(const Expr& e, BinaryOp op, std::vector<const Expr*>* out) {
+  if (e.kind() == ExprKind::kBinary && e.binary_op() == op) {
+    for (const ExprPtr& child : e.children()) FlattenBinary(*child, op, out);
+    return;
+  }
+  out->push_back(&e);
+}
+
 ExprPtr Expr::Col(std::string ref) {
   auto e = ExprPtr(new Expr());
   e->kind_ = ExprKind::kColumn;

@@ -160,6 +160,11 @@ class Expr {
 /// Renders a BinaryOp as its SQL token ("+", "<=", "AND", ...).
 const char* BinaryOpName(BinaryOp op);
 
+/// Appends the operands of the `op` chain rooted at `e`, left to right (`e`
+/// itself when it is not an `op` node): the conjuncts of an AND, the
+/// branches of an OR.
+void FlattenBinary(const Expr& e, BinaryOp op, std::vector<const Expr*>* out);
+
 }  // namespace svc
 
 #endif  // SVC_RELATIONAL_EXPR_H_

@@ -464,11 +464,6 @@ void SvcServer::WorkerLoop() {
       conn->pending.pop_front();
     }
     Frame response = HandleRequest(conn.get(), request);
-    // Crash-fault site: the request's effects (WAL append included) are
-    // fully committed, but the response never leaves the process — the
-    // classic "did my write land?" window a retrying client must resolve
-    // via its idempotency token after the server restarts.
-    FaultInjector::Global().MaybeCrash("server.pre_response");
     // Release the in-flight slot BEFORE the response hits the wire: a
     // client that pipelines its next request the instant it reads this
     // reply must find the slot free, not race the decrement and get a
@@ -642,7 +637,12 @@ Frame SvcServer::ExecuteWithMeta(Conn* conn, const PendingReq& request,
   // (no second execution, no counter bumps), so a client transcript is
   // bit-identical whether or not the network misbehaved.
   if (!meta.idem_token.empty()) {
-    std::lock_guard<std::mutex> lock(idem_mu_);
+    std::unique_lock<std::mutex> lock(idem_mu_);
+    idem_cv_.wait(lock, [&] {
+      auto running = idem_inflight_.find(meta.idem_token);
+      return running == idem_inflight_.end() ||
+             running->second != meta.idem_seq;
+    });
     auto it = idem_journal_.find(meta.idem_token);
     if (it != idem_journal_.end() && meta.idem_seq <= it->second.seq) {
       count(&ServerStats::idem_replays);
@@ -662,7 +662,28 @@ Frame SvcServer::ExecuteWithMeta(Conn* conn, const PendingReq& request,
       PutStr(&reply.body, "already applied (idempotent replay)");
       return reply;
     }
+    idem_inflight_[meta.idem_token] = meta.idem_seq;
   }
+  // Clears the in-flight mark on every return below — after the journal
+  // update, so a waiting retry finds the response to replay.
+  struct InflightMark {
+    SvcServer* server;
+    const RequestMeta* meta;
+    InflightMark(const InflightMark&) = delete;
+    InflightMark& operator=(const InflightMark&) = delete;
+    ~InflightMark() {
+      if (meta == nullptr) return;
+      {
+        std::lock_guard<std::mutex> lock(server->idem_mu_);
+        auto it = server->idem_inflight_.find(meta->idem_token);
+        if (it != server->idem_inflight_.end() &&
+            it->second == meta->idem_seq) {
+          server->idem_inflight_.erase(it);
+        }
+      }
+      server->idem_cv_.notify_all();
+    }
+  } inflight{this, meta.idem_token.empty() ? nullptr : &meta};
 
   // Deadline: queue wait counts against it (the client's clock started at
   // send). Expired before execution → fail immediately; otherwise thread
@@ -696,6 +717,18 @@ Frame SvcServer::ExecuteWithMeta(Conn* conn, const PendingReq& request,
   conn->session->set_cancel_token(nullptr);
   conn->session->set_degrade_ratio_scale(1.0);
   conn->session->set_idempotency("", 0);
+
+  // Crash-fault site "server.pre_response.seq<N>": the first delivery of
+  // idempotency seq N dies here, its effects (WAL append and idempotency
+  // mark included) committed and its response unsent — the classic "did
+  // my write land?" window a retrying client must resolve via its token
+  // after the server restarts. Keyed by seq, it names one statement however
+  // many client retries arrive before it; a retry of seq N replays above.
+  FaultInjector& crash = FaultInjector::Global();
+  if (!meta.idem_token.empty() && crash.armed()) {
+    crash.MaybeCrash(
+        ("server.pre_response.seq" + std::to_string(meta.idem_seq)).c_str());
+  }
 
   Frame reply;
   reply.request_id = id;

@@ -206,6 +206,12 @@ class SvcServer {
   };
   mutable std::mutex idem_mu_;
   std::map<std::string, IdemEntry> idem_journal_;
+  /// Token -> seq of the request executing now. A retry resent on a fresh
+  /// connection after a client timeout can arrive while its first delivery
+  /// still executes; it waits on idem_cv_ for that delivery's journal entry
+  /// instead of executing the statement a second time.
+  std::map<std::string, uint64_t> idem_inflight_;
+  std::condition_variable idem_cv_;
 
   std::thread io_thread_;
   std::vector<std::thread> worker_threads_;

@@ -1,5 +1,7 @@
 #include "sql/engine_handle.h"
 
+#include "core/estimator_merge.h"
+
 namespace svc {
 
 void EngineCut::ReadShardedHead() {
@@ -35,6 +37,15 @@ Result<size_t> EngineCut::NumRows(const std::string& name) const {
     return Status::OK();
   }));
   return rows;
+}
+
+Result<std::vector<Row>> EngineCut::FindRowsByKey(
+    const std::string& name, const std::vector<Row>& key_rows) const {
+  if (sharded_ != nullptr) {
+    return sharded_->FindRowsByKey(*shard_cut_, name, key_rows);
+  }
+  SVC_ASSIGN_OR_RETURN(const Table* table, engine_->db().GetTable(name));
+  return LookupRowsByKey({table}, key_rows, /*merged=*/false);
 }
 
 Result<const Database*> EngineCut::SelectDatabase(Database* scratch) const {

@@ -41,6 +41,15 @@ class EngineCut {
   /// Logical row count of table or view `name`, without gathering.
   Result<size_t> NumRows(const std::string& name) const;
 
+  /// The committed rows of base table `name` whose primary keys equal
+  /// those of `key_rows` (full-width rows; only the key columns are read),
+  /// each row once, listed in the order GetTable(name)->rows() lists them.
+  /// Costs O(keys), not O(table): a sharded cut probes the shards' key
+  /// indexes (ShardedEngine::FindRowsByKey) and never gathers. Requires a
+  /// primary key.
+  Result<std::vector<Row>> FindRowsByKey(
+      const std::string& name, const std::vector<Row>& key_rows) const;
+
   /// The database a plain SELECT plans and runs against: the engine's own
   /// (no copy) unless sharded, where every user relation is gathered into
   /// `*scratch`.

@@ -7,14 +7,11 @@ namespace svc {
 
 namespace {
 
-/// Flattens nested ANDs into a conjunct list.
+/// Appends clones of the conjuncts of `e` (nested ANDs flattened).
 void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
-  if (e->kind() == ExprKind::kBinary && e->binary_op() == BinaryOp::kAnd) {
-    SplitConjuncts(e->children()[0], out);
-    SplitConjuncts(e->children()[1], out);
-    return;
-  }
-  out->push_back(e->Clone());
+  std::vector<const Expr*> conjuncts;
+  FlattenBinary(*e, BinaryOp::kAnd, &conjuncts);
+  for (const Expr* c : conjuncts) out->push_back(c->Clone());
 }
 
 ExprPtr JoinConjuncts(std::vector<ExprPtr> conjuncts) {

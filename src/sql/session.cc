@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "relational/executor.h"
 #include "sql/planner.h"
@@ -104,6 +105,54 @@ Status CoerceInsertRows(const Statement& stmt, const Schema& schema,
     }
   }
   return Status::OK();
+}
+
+/// The primary keys a DELETE's bound WHERE names, when every OR-branch
+/// pins every key column through a conjunct `c = lit` or `lit = c`, with
+/// `lit` a non-NULL literal of exactly c's declared type, INT or STRING —
+/// the types whose Value equality is equality of EncodeRowKey bytes, so a
+/// key lookup finds every row the scan would select. Each key is a
+/// full-width row with only the key columns set. Any other WHERE yields
+/// nullopt (the caller scans). A branch's other conjuncts are not
+/// analysed: the caller re-checks every hit with the whole predicate.
+std::optional<std::vector<Row>> PinnedKeys(const Expr& pred,
+                                           const Schema& schema,
+                                           const std::vector<size_t>& pk) {
+  std::vector<const Expr*> branches;
+  FlattenBinary(pred, BinaryOp::kOr, &branches);
+  std::vector<Row> keys;
+  keys.reserve(branches.size());
+  for (const Expr* branch : branches) {
+    std::vector<const Expr*> conjuncts;
+    FlattenBinary(*branch, BinaryOp::kAnd, &conjuncts);
+    Row key(schema.NumColumns());
+    std::vector<bool> pinned(schema.NumColumns(), false);
+    for (const Expr* c : conjuncts) {
+      if (c->kind() != ExprKind::kBinary || c->binary_op() != BinaryOp::kEq) {
+        continue;
+      }
+      const Expr* col = c->children()[0].get();
+      const Expr* lit = c->children()[1].get();
+      if (col->kind() == ExprKind::kLiteral) std::swap(col, lit);
+      if (col->kind() != ExprKind::kColumn ||
+          lit->kind() != ExprKind::kLiteral) {
+        continue;
+      }
+      const size_t i = col->bound_column_index();
+      const ValueType type = schema.column(i).type;
+      if (pinned[i] || lit->literal().type() != type ||
+          (type != ValueType::kInt && type != ValueType::kString)) {
+        continue;  // not a pin; a repeated pin is left to the re-check
+      }
+      key[i] = lit->literal();
+      pinned[i] = true;
+    }
+    for (size_t i : pk) {
+      if (!pinned[i]) return std::nullopt;
+    }
+    keys.push_back(std::move(key));
+  }
+  return keys;
 }
 
 /// Renders SHOW MAINTENANCE: the active policy line as the message plus one
@@ -427,7 +476,7 @@ Result<SqlResult> SqlSession::ExecCreateView(const Statement& stmt,
 
 Result<SqlResult> SqlSession::ExecInsert(const Statement& stmt,
                                          EngineCut& cut) {
-  SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> table,
+  SVC_ASSIGN_OR_RETURN(const Table* table,
                        ResolveBaseTable(cut, stmt.target, "INSERT INTO"));
   // Validate and coerce every row before ingesting any (the statement
   // either queues completely or not at all).
@@ -437,12 +486,14 @@ Result<SqlResult> SqlSession::ExecInsert(const Statement& stmt,
   PendingKeys scratch;
   PendingKeys* cache = nullptr;
   if (table->HasPrimaryKey()) {
-    // Key checks run against the logical table: a conflicting committed
-    // row may live on any shard.
+    // Key checks run against the logical table (a conflicting committed
+    // row may live on any shard), looked up by key rather than scanned.
     cache = PendingKeysFor(stmt.target, &scratch);
     SyncPendingKeys(cut, stmt.target, table->pk_indices(), cache);
-    SVC_RETURN_IF_ERROR(
-        CheckInsertKeys(stmt, *table, rows, *cache, &batch_keys));
+    SVC_ASSIGN_OR_RETURN(std::vector<Row> committed,
+                         cut.FindRowsByKey(stmt.target, rows));
+    SVC_RETURN_IF_ERROR(CheckInsertKeys(stmt, *table, rows, committed, *cache,
+                                        &batch_keys));
   }
   const size_t queued = rows.size();
   // The *coerced* rows are what the op carries, and what replay re-queues.
@@ -461,7 +512,7 @@ Result<SqlResult> SqlSession::ExecInsert(const Statement& stmt,
 
 Result<SqlResult> SqlSession::ExecDelete(const Statement& stmt,
                                          EngineCut& cut) {
-  SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> table,
+  SVC_ASSIGN_OR_RETURN(const Table* table,
                        ResolveBaseTable(cut, stmt.target, "DELETE FROM"));
   ExprPtr pred;
   if (stmt.where) {
@@ -470,10 +521,25 @@ Result<SqlResult> SqlSession::ExecDelete(const Statement& stmt,
   }
   // WHERE selects from the committed rows (in the logical table's canonical
   // order, so the queued delta order is shard-count-invariant); matches are
-  // queued as delete deltas (the base table changes at REFRESH).
+  // queued as delete deltas (the base table changes at REFRESH). A WHERE
+  // that pins whole primary keys looks them up; any other scans.
+  std::optional<std::vector<Row>> keys;
+  if (pred && table->HasPrimaryKey()) {
+    keys = PinnedKeys(*pred, table->schema(), table->pk_indices());
+  }
   std::vector<Row> doomed;
-  for (const auto& row : table->rows()) {
-    if (!pred || pred->Eval(row).IsTrue()) doomed.push_back(row);
+  if (keys) {
+    SVC_ASSIGN_OR_RETURN(std::vector<Row> hits,
+                         cut.FindRowsByKey(stmt.target, *keys));
+    for (Row& row : hits) {
+      if (pred->Eval(row).IsTrue()) doomed.push_back(std::move(row));
+    }
+  } else {
+    SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> logical,
+                         cut.GetTable(stmt.target));
+    for (const auto& row : logical->rows()) {
+      if (!pred || pred->Eval(row).IsTrue()) doomed.push_back(row);
+    }
   }
   // DELETE is idempotent: a row already queued for deletion is skipped —
   // queueing it twice would double-count in the change table and silently
@@ -740,6 +806,7 @@ void SqlSession::SyncPendingKeys(const EngineCut& cut,
 
 Status SqlSession::CheckInsertKeys(const Statement& stmt, const Table& table,
                                    const std::vector<Row>& rows,
+                                   const std::vector<Row>& committed,
                                    const PendingKeys& pending,
                                    std::vector<std::string>* batch_keys) {
   // Primary-key validation: a conflicting delta would poison the pending
@@ -756,6 +823,8 @@ Status SqlSession::CheckInsertKeys(const Statement& stmt, const Table& table,
     }
     return out;
   };
+  std::set<std::string> committed_keys;
+  for (const Row& row : committed) committed_keys.insert(EncodeRowKey(row, pk));
   std::set<std::string> batch;
   batch_keys->reserve(rows.size());
   for (size_t r = 0; r < rows.size(); ++r) {
@@ -772,8 +841,7 @@ Status SqlSession::CheckInsertKeys(const Statement& stmt, const Table& table,
       where = "this statement";
     } else if (pending.inserts.count(key)) {
       where = "the pending deltas";
-    } else if (table.FindByEncodedKey(key).ok() &&
-               !pending.deletes.count(key)) {
+    } else if (committed_keys.count(key) && !pending.deletes.count(key)) {
       where =
           "a committed row (DELETE it first; an update is "
           "delete + insert)";
@@ -789,8 +857,9 @@ Status SqlSession::CheckInsertKeys(const Statement& stmt, const Table& table,
   return Status::OK();
 }
 
-Result<std::shared_ptr<const Table>> SqlSession::ResolveBaseTable(
-    const EngineCut& cut, const std::string& name, const char* verb) const {
+Result<const Table*> SqlSession::ResolveBaseTable(const EngineCut& cut,
+                                                  const std::string& name,
+                                                  const char* verb) const {
   if (cut.catalog().HasView(name)) {
     return Status::InvalidArgument(
         std::string(verb) + " targets a base relation, but '" + name +
@@ -801,7 +870,7 @@ Result<std::shared_ptr<const Table>> SqlSession::ResolveBaseTable(
     return Status::InvalidArgument("'" + name +
                                    "' is an internal delta relation");
   }
-  return cut.GetTable(name);
+  return cut.catalog().db().GetTable(name);
 }
 
 }  // namespace svc

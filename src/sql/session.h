@@ -91,7 +91,9 @@ class SqlExecutor {
 ///     tables included).
 ///   * INSERT / DELETE queue deltas through the engine; base tables change
 ///     only at REFRESH (the paper's maintenance model). A DELETE's WHERE
-///     selects the *committed* rows to queue for deletion.
+///     selects the *committed* rows to queue for deletion; one whose every
+///     OR-branch pins the whole primary key to literals looks the keys up
+///     instead of scanning, with the same result.
 ///   * REFRESH VIEW <v> validates that <v> exists, then runs MaintainAll —
 ///     pending deltas are engine-global, so maintenance is a single commit
 ///     point that freshens every view.
@@ -174,9 +176,12 @@ class SqlSession : public SqlExecutor {
   Result<SqlResult> ExecWrite(const Statement& stmt, WriteHandler handler);
 
   /// Rejects targets that are views or internal delta tables; returns the
-  /// base table's logical rows.
-  Result<std::shared_ptr<const Table>> ResolveBaseTable(
-      const EngineCut& cut, const std::string& name, const char* verb) const;
+  /// catalog's table for its schema and primary key. Its rows are not the
+  /// logical rows (on a sharded cut they are shard 0's part): read those
+  /// through the cut, and not after the statement's Apply.
+  Result<const Table*> ResolveBaseTable(const EngineCut& cut,
+                                        const std::string& name,
+                                        const char* verb) const;
 
   /// Cached encoded-primary-key sets of one relation's pending deltas, so
   /// ExecInsert's conflict checks stay O(batch) per statement instead of
@@ -206,12 +211,14 @@ class SqlSession : public SqlExecutor {
                               const std::vector<size_t>& pk_indices,
                               PendingKeys* cache);
 
-  /// ExecInsert's primary-key screening: rejects NULL key columns,
-  /// duplicates within the statement, keys already queued for insertion,
-  /// and committed keys (of `table`) not queued for deletion. Appends each
+  /// ExecInsert's primary-key screening against `table`'s schema and key:
+  /// rejects NULL key columns, duplicates within the statement, keys
+  /// already queued for insertion, and keys of `committed` (the committed
+  /// rows sharing a key with `rows`) not queued for deletion. Appends each
   /// row's encoded key to `batch_keys`.
   static Status CheckInsertKeys(const Statement& stmt, const Table& table,
                                 const std::vector<Row>& rows,
+                                const std::vector<Row>& committed,
                                 const PendingKeys& pending,
                                 std::vector<std::string>* batch_keys);
 

@@ -6,9 +6,9 @@
 // transcript *bit-identical* to the fault-free run (and to an in-process
 // replica) — lost responses are replayed from the server's idempotency
 // journal, never re-executed, so no write lands twice and no read answers
-// differently. A fork-based test covers the hardest window: the server
-// crashing after a write's WAL append but before its response, with the
-// client converging against the restarted server.
+// differently. A test that runs svc_served as a child process covers the
+// hardest window: the server crashing after a write's WAL append but before
+// its response, with the client converging against the restarted server.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -670,54 +672,84 @@ TEST(ChaosRetryTest, RetriedInsertCommitsExactlyOnceDurable) {
 
 // The hardest window: the server crashes *after* a write's WAL append but
 // *before* its response leaves the process. The client cannot know whether
-// the write landed — only the recovered idempotency mark can say. A forked
-// child serves a durable directory and dies at the armed crash site; the
-// parent restarts a server over the recovered directory on the same port;
-// the retrying client converges with every statement applied exactly once,
-// and the final state matches a replica that never crashed.
+// the write landed — only the recovered idempotency mark can say. A child
+// svc_served process serves a durable directory and dies at the armed crash
+// site; the test restarts a server over the recovered directory on the
+// same port; the retrying client converges with every statement applied
+// exactly once, and the final state matches a replica that never crashed.
 TEST(ChaosCrashTest, CrashBeforeResponseConvergesViaRetry) {
   InjectorGuard guard;
   const std::string dir =
       (std::filesystem::temp_directory_path() /
        ("svc_chaos_crash_" + std::to_string(getpid())))
           .string();
+  const std::string port_file = dir + ".port";
   std::filesystem::remove_all(dir);
+  std::filesystem::remove(port_file);
   std::filesystem::create_directories(dir);
 
-  int port_pipe[2];
-  ASSERT_EQ(pipe(port_pipe), 0);
+  // The child execs svc_served (built beside this binary) at once: a forked
+  // copy of this multi-threaded test process may not start threads under
+  // ThreadSanitizer. SVC_FAULT arms the crash on the response to the first
+  // delivery of idempotency seq 3 (CREATE TABLE is seq 1, so that is the
+  // second INSERT), whose WAL record, idempotency mark included, is then
+  // durable. Keyed by seq, not by request count, so client timeouts that
+  // retry earlier statements (a slow sanitizer build) cannot move the
+  // crash to another statement.
+  const std::string served =
+      (std::filesystem::read_symlink("/proc/self/exe").parent_path() /
+       "svc_served")
+          .string();
+  ASSERT_TRUE(std::filesystem::exists(served)) << served;
+  std::vector<std::string> args = {served, "--port", "0", "--data-dir", dir};
+  args.insert(args.end(), {"--port-file", port_file});
+  std::vector<std::string> env = {"SVC_FAULT=server.pre_response.seq3"};
+  for (char** e = environ; *e != nullptr; ++e) {
+    if (std::strncmp(*e, "SVC_FAULT=", 10) != 0) env.push_back(*e);
+  }
+  auto c_strings = [](std::vector<std::string>& v) {
+    std::vector<char*> out;
+    for (std::string& s : v) out.push_back(s.data());
+    out.push_back(nullptr);
+    return out;
+  };
+  std::vector<char*> argv = c_strings(args);
+  std::vector<char*> envp = c_strings(env);
   const pid_t child = fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
-    // Child: serve the directory and crash with the response to the 4th
-    // request (Hello=1, so that is the second INSERT) still unsent — its
-    // WAL record, idempotency mark included, is already durable.
-    close(port_pipe[0]);
-    FaultInjector::Global().Arm("server.pre_response", 4);
-    DurableOptions dopts;
-    dopts.data_dir = dir;
-    auto engine = DurableEngine::Open(dopts);
-    if (!engine.ok()) _exit(3);
-    ServerOptions sopts;
-    SvcServer server(sopts, *engine);
-    if (!server.Start().ok()) _exit(4);
-    const uint16_t port = server.port();
-    if (write(port_pipe[1], &port, sizeof(port)) !=
-        static_cast<ssize_t>(sizeof(port))) {
-      _exit(5);
-    }
-    for (;;) pause();  // the armed site kills us from a worker thread
+    execve(argv[0], argv.data(), envp.data());
+    _exit(127);
   }
-  close(port_pipe[1]);
+  // Kills the child on any early exit from this test.
+  struct Reaper {
+    pid_t pid;
+    Reaper(const Reaper&) = delete;
+    Reaper& operator=(const Reaper&) = delete;
+    ~Reaper() {
+      if (pid <= 0) return;
+      kill(pid, SIGKILL);
+      waitpid(pid, nullptr, 0);
+    }
+  } reaper{child};
   uint16_t port = 0;
-  ASSERT_EQ(read(port_pipe[0], &port, sizeof(port)),
-            static_cast<ssize_t>(sizeof(port)));
-  close(port_pipe[0]);
+  for (int i = 0; i < 1200 && port == 0; ++i) {
+    std::FILE* f = std::fopen(port_file.c_str(), "r");
+    unsigned parsed = 0;
+    if (f != nullptr) {
+      if (std::fscanf(f, "%u", &parsed) == 1) {
+        port = static_cast<uint16_t>(parsed);
+      }
+      std::fclose(f);
+    }
+    if (port == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  ASSERT_NE(port, 0) << "svc_served never wrote " << port_file;
 
   const std::vector<std::string> stmts = {
       "CREATE TABLE t (k INT, v INT, PRIMARY KEY (k));",
       "INSERT INTO t VALUES (1, 10);",
-      "INSERT INTO t VALUES (2, 20);",  // response 4: the crash window
+      "INSERT INTO t VALUES (2, 20);",  // seq 3: the crash window
       "INSERT INTO t VALUES (3, 30);",
       "REFRESH ALL;",
   };
@@ -748,6 +780,7 @@ TEST(ChaosCrashTest, CrashBeforeResponseConvergesViaRetry) {
 
   int wstatus = 0;
   ASSERT_EQ(waitpid(child, &wstatus, 0), child);
+  reaper.pid = 0;
   ASSERT_TRUE(WIFEXITED(wstatus));
   ASSERT_EQ(WEXITSTATUS(wstatus), FaultInjector::kCrashExitCode);
 
@@ -799,6 +832,7 @@ TEST(ChaosCrashTest, CrashBeforeResponseConvergesViaRetry) {
   server.reset();
   engine->reset();
   std::filesystem::remove_all(dir);
+  std::filesystem::remove(port_file);
 }
 
 }  // namespace

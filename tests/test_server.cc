@@ -574,6 +574,47 @@ TEST(ServerTest, PipelinedFloodHitsAdmissionControl) {
   EXPECT_EQ(reply.tag, FrameTag::kResultSet);
 }
 
+TEST(ServerTest, RetryOverlappingItsFirstDeliveryRunsTheWriteOnce) {
+  // A client that times out resends its write on a fresh connection, so the
+  // resend can arrive while the first delivery still executes. Both carry
+  // one (token, seq): the write must run once, and both connections must
+  // get its answer rather than a duplicate-key error from a second run.
+  auto server = StartServer();
+  auto client = ConnectTo(*server);
+  SVC_ASSERT_OK(
+      client->Execute("CREATE TABLE t (k INT, v INT, PRIMARY KEY (k));")
+          .status());
+  // Large enough that the two deliveries overlap in execution.
+  std::string sql = "INSERT INTO t VALUES ";
+  for (int k = 0; k < 3000; ++k) {
+    sql += (k > 0 ? ", (" : "(") + std::to_string(k) + ", 1)";
+  }
+  RequestMeta meta;
+  meta.idem_token = "overlap";
+  meta.idem_seq = 1;
+  std::string body;
+  PutStr(&body, sql);
+  AppendRequestMeta(meta, &body);
+  RawConn first(server->port());
+  RawConn second(server->port());
+  ASSERT_NO_FATAL_FAILURE(first.Hello());
+  ASSERT_NO_FATAL_FAILURE(second.Hello());
+  first.SendFrame(FrameTag::kQuery, first.next_id(), body);
+  second.SendFrame(FrameTag::kQuery, second.next_id(), body);
+  Frame a;
+  Frame b;
+  ASSERT_NO_FATAL_FAILURE(first.ReadFrame(&a));
+  ASSERT_NO_FATAL_FAILURE(second.ReadFrame(&b));
+  ASSERT_NE(a.tag, FrameTag::kError) << DecodeErrorBody(a.body).ToString();
+  ASSERT_NE(b.tag, FrameTag::kError) << DecodeErrorBody(b.body).ToString();
+  EXPECT_EQ(a.body, b.body);
+  EXPECT_EQ(server->stats().idem_replays, 1u);
+  SVC_ASSERT_OK_AND_ASSIGN(SqlResult queued,
+                           DecodeSqlResultBody(a.tag, a.body));
+  EXPECT_EQ(queued.message,
+            "queued 3000 insert(s) into t; REFRESH commits them");
+}
+
 // ---- Durable serving --------------------------------------------------------
 
 TEST(ServerTest, DurableServerPersistsAcrossRestart) {

@@ -21,6 +21,8 @@
 #include "sql/planner.h"
 #include "sql/session.h"
 #include "tests/test_util.h"
+#include "tpcd/tpcd_gen.h"
+#include "tpcd/tpcd_views.h"
 
 namespace svc {
 namespace {
@@ -205,6 +207,54 @@ TEST(ShardedEngineTest, RefreshCommitsShardsIndependentlyAndCountsLogically) {
             EncodedRows(**replica.db()->GetTable("visitView")));
   // A reader holding the pre-refresh cut still sees its pending deltas.
   EXPECT_EQ(eng.PendingRowsFor(*stale, "Log"), 9u);
+}
+
+TEST(ShardedEngineTest, KeyedWritesProbeShardsWithoutGathering) {
+  // The TPCD join view partitions lineitem and orders by order key. After
+  // a REFRESH every shard part is new, so any write that read the logical
+  // relation would rebuild a cross-shard merge.
+  TpcdConfig cfg;
+  cfg.scale_factor = 0.002;
+  SVC_ASSERT_OK_AND_ASSIGN(Database db, GenerateTpcdDatabase(cfg));
+  auto eng = std::make_shared<ShardedEngine>(std::move(db), 4);
+  SVC_ASSERT_OK(eng->CreateView("join_view", TpcdJoinViewDef(),
+                                TpcdJoinViewSamplingKey()));
+  ASSERT_TRUE(eng->Snapshot()->meta->IsPartitionedRelation("lineitem"));
+  ASSERT_TRUE(eng->Snapshot()->meta->IsPartitionedRelation("orders"));
+  SqlSession session(EngineHandle::Sharded(eng));
+  auto run = [&](const std::string& sql) {
+    auto r = session.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    return r.ok() ? r->message : std::string();
+  };
+  run("DELETE FROM lineitem WHERE l_orderkey = 1 AND l_linenumber = 1");
+  run("REFRESH ALL");
+
+  const uint64_t before = eng->CoordinatorGathersBuilt();
+  EXPECT_EQ(run("INSERT INTO orders VALUES "
+                "(900001, 1, 'O', 10.5, 19950101, '1-URGENT')"),
+            "queued 1 insert(s) into orders; REFRESH commits them");
+  // The committed-key check finds (2, 1) through the shards' key indexes.
+  auto dup = session.Execute(
+      "INSERT INTO lineitem VALUES "
+      "(2, 1, 1, 1, 5, 100.0, 0.05, 'N', 'AIR', 19950201)");
+  ASSERT_FALSE(dup.ok());
+  EXPECT_NE(dup.status().message().find("of a committed row"),
+            std::string::npos)
+      << dup.status().ToString();
+  EXPECT_EQ(run("INSERT INTO lineitem VALUES "
+                "(900001, 1, 1, 1, 5, 100.0, 0.05, 'N', 'AIR', 19950201)"),
+            "queued 1 insert(s) into lineitem; REFRESH commits them");
+  EXPECT_EQ(run("DELETE FROM lineitem WHERE (l_orderkey = 2 AND "
+                "l_linenumber = 1) OR (l_orderkey = 3 AND l_linenumber = 1)"),
+            "queued 2 delete(s) from lineitem; REFRESH commits them");
+  EXPECT_EQ(run("DELETE FROM orders WHERE o_orderkey = 4"),
+            "queued 1 delete(s) from orders; REFRESH commits them");
+  EXPECT_EQ(eng->CoordinatorGathersBuilt(), before);
+
+  // A DELETE that names no key scans the logical relation: one merge.
+  run("DELETE FROM lineitem WHERE l_quantity > 49");
+  EXPECT_EQ(eng->CoordinatorGathersBuilt(), before + 1);
 }
 
 // ---- Concurrency stress (the TSan target) ----------------------------------
