@@ -22,6 +22,12 @@
 // the DELETE slows by more than 1.5x on the 4x larger table (key-addressed
 // writes must not cost in proportion to the table).
 //
+// The exact_sum row prices order-free summation (common/exact_sum.h) per
+// term against a naive loop, and the sharded_query block's cold grouped
+// CORR query after a REFRESH at 4 shards counts the cross-shard gathers it
+// builds: the run exits 1 when there is any (sum, count and avg add the
+// shards' exact moments instead).
+//
 // Usage: micro_ops [--rows N] [--reps N] [--out FILE] [--min-speedup X]
 //                  [--threads N] [--min-parallel-speedup X]
 
@@ -33,11 +39,13 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/exact_sum.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/shared_engine.h"
@@ -299,6 +307,27 @@ std::string MergedBlocks(const std::string& path) {
     return "";
   }
   return content.substr(first + 1, close - first - 1);
+}
+
+/// The machine and build a block was measured on, as one JSON member.
+std::string HostJson() {
+  std::string sha = "unknown";
+  if (FILE* git = popen("git -C \"" SVC_REPO_DIR
+                        "\" describe --always --dirty --abbrev=12 2>/dev/null",
+                        "r")) {
+    char buf[64] = {0};
+    if (std::fgets(buf, sizeof(buf), git) != nullptr) {
+      sha = buf;
+      while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
+        sha.pop_back();
+      }
+    }
+    pclose(git);
+  }
+  return "\"host\": {\"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": \"g++ " __VERSION__ "\", \"build_type\": \"" +
+         std::string(SVC_BUILD_TYPE) + "\", \"git_sha\": \"" + sha + "\"}";
 }
 
 }  // namespace
@@ -726,12 +755,90 @@ int main(int argc, char** argv) {
                 sharded_bench.sample_rows);
   }
 
+  // -- Cold grouped CORR after a REFRESH at 4 shards -------------------------
+  // Q7 (revenue by l_shipmode) on the SF 0.01 TPCD join view, first query
+  // after each REFRESH: every shard part is new, so a read that needed the
+  // logical view would rebuild a cross-shard merge. Sum, count and avg add
+  // the shards' exact moments; any gather fails the run.
+  struct ColdBench {
+    size_t view_rows = 0;
+    size_t groups = 0;
+    double ms = 0;
+    uint64_t gathers = 0;
+  } cold_bench;
+  constexpr int kColdReps = 7;
+  {
+    auto fail = [](const std::string& what) {
+      std::fprintf(stderr, "[micro_ops] cold grouped query: %s\n",
+                   what.c_str());
+      return 2;
+    };
+    Result<Database> tpcd = GenerateTpcdDatabase(TpcdConfig());
+    if (!tpcd.ok()) return fail(tpcd.status().ToString());
+    auto eng = std::make_shared<ShardedEngine>(std::move(tpcd).value(),
+                                               sharded_bench.shards);
+    if (auto st = eng->CreateView("join_view", TpcdJoinViewDef(),
+                                  TpcdJoinViewSamplingKey());
+        !st.ok()) {
+      return fail(st.ToString());
+    }
+    SqlSession session(EngineHandle::Sharded(eng));
+    ViewQuery q7;
+    for (const ViewQuery& vq : TpcdJoinViewQueries()) {
+      if (vq.name == "Q7") q7 = vq;
+    }
+    SvcQueryOptions qopts;
+    qopts.ratio = 0.1;
+    std::vector<double> ms;
+    const uint64_t gathers_before = eng->CoordinatorGathersBuilt();
+    for (int i = 0; i < kColdReps; ++i) {
+      // A key-addressed update on each side of the REFRESH, so the query
+      // has a pending row to clean against all-new shard parts.
+      for (const std::string& sql :
+           {"DELETE FROM lineitem WHERE l_orderkey = " +
+                std::to_string(2 * i + 1) + " AND l_linenumber = 1",
+            std::string("REFRESH ALL"),
+            "DELETE FROM lineitem WHERE l_orderkey = " +
+                std::to_string(2 * i + 2) + " AND l_linenumber = 1"}) {
+        if (auto r = session.Execute(sql); !r.ok()) {
+          return fail(r.status().ToString());
+        }
+      }
+      const ShardedSnapshotPtr snap = eng->Snapshot();
+      Stopwatch sw;
+      auto r = eng->QueryGrouped(*snap, "join_view", q7.group_by, q7.query,
+                                 qopts);
+      ms.push_back(sw.ElapsedMillis());
+      if (!r.ok()) return fail(r.status().ToString());
+      cold_bench.groups = r->result.group_keys.size();
+    }
+    cold_bench.gathers = eng->CoordinatorGathersBuilt() - gathers_before;
+    for (int s = 0; s < sharded_bench.shards; ++s) {
+      cold_bench.view_rows +=
+          (*eng->Snapshot()->shards[s]->engine.db().GetTable("join_view"))
+              ->NumRows();
+    }
+    std::sort(ms.begin(), ms.end());
+    cold_bench.ms = ms[ms.size() / 2];
+    std::printf("%-16s cold grouped CORR after REFRESH %8.3f ms (median of "
+                "%d, %zu groups, %zu view rows)   gathers built %llu\n",
+                "sharded_cold", cold_bench.ms, kColdReps, cold_bench.groups,
+                cold_bench.view_rows,
+                static_cast<unsigned long long>(cold_bench.gathers));
+  }
+
   // -- Stale-side memo: warm grouped CORR on the TPCD join view --------------
   // A repeated grouped SVC+CORR query (Q7: revenue by l_shipmode) over the
   // TPCD SF 0.01 join view with pending updates. With the memo the warm
   // query pays only the correction: q(S) and the cleaned samples are
   // memoized. With the cache off every query re-cleans and recomputes q(S)
   // over the whole view. The two answers must agree in every bit.
+  struct ExactBench {
+    size_t terms = 0;
+    double naive_ns = 0;
+    double exact_ns = 0;
+    size_t partial_bytes = 0;
+  } exact_bench;
   struct MemoBench {
     size_t view_rows = 0;
     size_t groups = 0;
@@ -809,6 +916,50 @@ int main(int argc, char** argv) {
     std::printf("%-16s memo %8.3f ms   cache off %8.3f ms   speedup %6.1fx\n",
                 "stale_memo", memo_bench.memo_ms, memo_bench.nocache_ms,
                 memo_bench.speedup());
+
+    // -- Exact summation: the revenue terms of the same join view ----------
+    const Table& view = **engine.db()->GetTable("join_view");
+    ExprPtr revenue = Expr::Mul(
+        Expr::Col("l_extendedprice"),
+        Expr::Sub(Expr::LitInt(1), Expr::Col("l_discount")));
+    if (auto st = revenue->Bind(view.schema()); !st.ok()) return fail(st);
+    std::vector<double> terms;
+    terms.reserve(view.NumRows());
+    for (const Row& r : view.rows()) terms.push_back(revenue->Eval(r).ToDouble());
+    constexpr int kPasses = 50;
+    volatile double sink = 0;
+    auto per_term_ns = [&](const std::function<double()>& sum) {
+      double best = 1e300;
+      for (int i = 0; i < reps; ++i) {
+        Stopwatch sw;
+        for (int pass = 0; pass < kPasses; ++pass) sink = sum();
+        best = std::min(best, sw.ElapsedMillis());
+      }
+      return best * 1e6 / (kPasses * static_cast<double>(terms.size()));
+    };
+    exact_bench.terms = terms.size();
+    exact_bench.naive_ns = per_term_ns([&] {
+      double total = 0;
+      for (double t : terms) total += t;
+      return total;
+    });
+    exact_bench.exact_ns = per_term_ns([&] {
+      ExactSum total;
+      for (double t : terms) total.Add(t);
+      return total.Round();
+    });
+    ExactSum total;
+    for (double t : terms) total.Add(t);
+    const ExactSum::Partial partial = total.Compact();
+    exact_bench.partial_bytes = sizeof(partial) + partial.HeapBytes();
+    (void)sink;
+    std::printf("-- exact summation (%zu revenue terms of the join view) --\n",
+                exact_bench.terms);
+    std::printf("%-16s naive %6.2f ns/term   exact %6.2f ns/term   "
+                "(x%.1f)   dense %zu B   partial %zu B\n",
+                "exact_sum", exact_bench.naive_ns, exact_bench.exact_ns,
+                exact_bench.exact_ns / exact_bench.naive_ns,
+                sizeof(ExactSum), exact_bench.partial_bytes);
   }
 
   // -- Key-addressed DML: write cost vs table size ---------------------------
@@ -1044,9 +1195,25 @@ int main(int argc, char** argv) {
                sharded_bench.shards, sharded_bench.unsharded_ms,
                sharded_bench.sharded_ms, sharded_bench.speedup());
   std::fprintf(f,
-               "    \"sample_rows\": %zu, \"answer_bit_identical\": true\n"
-               "  },\n",
+               "    \"sample_rows\": %zu, \"answer_bit_identical\": true,\n",
                sharded_bench.sample_rows);
+  std::fprintf(f,
+               "    \"cold_grouped_corr\": {\"query\": \"Q7\", "
+               "\"after\": \"REFRESH\", \"view_rows\": %zu, \"groups\": %zu, "
+               "\"reps\": %d, \"median_ms\": %.3f, \"gathers_built\": %llu, "
+               "\"max_gathers\": 0, \"pass\": %s},\n",
+               cold_bench.view_rows, cold_bench.groups, kColdReps,
+               cold_bench.ms,
+               static_cast<unsigned long long>(cold_bench.gathers),
+               cold_bench.gathers == 0 ? "true" : "false");
+  std::fprintf(f, "    %s\n  },\n", HostJson().c_str());
+  std::fprintf(f,
+               "  \"exact_sum\": {\"terms\": %zu, \"naive_ns_per_term\": "
+               "%.3f, \"exact_ns_per_term\": %.3f, \"ratio\": %.2f, "
+               "\"dense_bytes\": %zu, \"partial_bytes\": %zu,\n    %s},\n",
+               exact_bench.terms, exact_bench.naive_ns, exact_bench.exact_ns,
+               exact_bench.exact_ns / exact_bench.naive_ns, sizeof(ExactSum),
+               exact_bench.partial_bytes, HostJson().c_str());
   std::fprintf(f,
                "  \"dml\": {\"table\": \"lineitem\", \"engine\": \"shared\", "
                "\"reps\": %d, \"small_rows\": %zu, \"large_rows\": %zu, "
@@ -1100,6 +1267,14 @@ int main(int argc, char** argv) {
                  "[micro_ops] REGRESSION: warm repeated SVC query is only "
                  "%.1fx faster than cold (floor %.1fx)\n",
                  cache_bench.speedup(), min_cache_speedup);
+    fail = true;
+  }
+  if (cold_bench.gathers > 0) {
+    std::fprintf(stderr,
+                 "[micro_ops] REGRESSION: %d cold grouped CORR queries on %d "
+                 "shards built %llu cross-shard gathers (must be 0)\n",
+                 kColdReps, sharded_bench.shards,
+                 static_cast<unsigned long long>(cold_bench.gathers));
     fail = true;
   }
   if (dml_delete_ratio > kMaxDmlDeleteGrowth) {

@@ -2,8 +2,9 @@
 # Full verification: Release build + tests, Debug+ASan/UBSan build + tests,
 # and the executor performance regression gate (bench/micro_ops must show
 # >= MIN_SPEEDUP on the join+aggregate pipeline vs. the string-keyed
-# baseline, and a key-addressed DELETE must not slow down by more than
-# 1.5x on a 4x larger table; see docs/PERF.md).
+# baseline, a key-addressed DELETE must not slow down by more than
+# 1.5x on a 4x larger table, and a cold grouped CORR query after a
+# REFRESH at 4 shards must build no cross-shard gather; see docs/PERF.md).
 #
 # Usage: scripts/check.sh [--fast] [--tsan] [--recovery] [--server]
 #                         [--shards] [--policy] [--chaos]
@@ -21,8 +22,9 @@
 #           both Release and Debug+ASan/UBSan builds, plus a durable
 #           svc_shell crash-and-restart smoke. Used by the CI recovery job.
 #   --shards  sharded scatter-gather mode ONLY: the shard suites (sharded
-#           engine, estimator merge, differential shard matrix, sharded
-#           coverage, sharded stats invariance), the quickstart golden on
+#           engine, estimator merge, exact sums, differential shard matrix
+#           and storage-order test, sharded coverage, sharded stats
+#           invariance), the quickstart golden on
 #           the sharded engine (enforced at --shards 2 AND 4 — SHOW STATS
 #           counters are logical, so the whole transcript matches the
 #           unsharded one), and a full-transcript smoke at 1, 2, and 8
@@ -157,7 +159,7 @@ if [[ "$SHARDS" -eq 1 ]]; then
 
   echo "== Sharded scatter-gather suites (Release) =="
   ctest --test-dir build --output-on-failure --no-tests=error -j"$JOBS" \
-    -R 'test_(sharded_engine|sharded_stats|estimator_merge|differential|coverage)|svc_shell_quickstart_sharded'
+    -R 'test_(sharded_engine|sharded_stats|estimator_merge|exact_sum|differential|coverage)|svc_shell_quickstart_sharded'
 
   echo "== Shard-count invariance smoke (full transcript at 1, 2, 8 shards) =="
   # The whole transcript — answers AND SHOW STATS, whose counters are
@@ -346,6 +348,7 @@ echo "== Measured speedups (BENCH_executor.json) =="
 grep -o '"gate": {[^}]*}' BENCH_executor.json | sed 's/^/  /' || true
 grep -o '"ingest_commit": \[[^]]*\]' BENCH_executor.json | sed 's/^/  /' || true
 grep -o '"dml": {[^}]*}' BENCH_executor.json | sed 's/^/  /' || true
+grep -o '"cold_grouped_corr": {[^}]*}' BENCH_executor.json | sed 's/^/  /' || true
 
 if [[ "$gate_rc" -ne 0 ]]; then
   echo "Bench gate FAILED (micro_ops exit $gate_rc)." >&2

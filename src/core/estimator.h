@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/cancel.h"
+#include "common/exact_sum.h"
 #include "common/flat_map.h"
 #include "common/status.h"
 #include "relational/algebra.h"
@@ -105,10 +107,13 @@ Result<Estimate> SvcCorrEstimate(double exact_stale,
 
 // ---- Grouped variants ------------------------------------------------------
 
-/// Results of evaluating the same aggregate once per group.
+/// Results of evaluating the same aggregate once per group. Every
+/// GroupedResult the functions below return lists its groups in group-key
+/// order: Value order column by column (a NaN after every other number),
+/// with distinct encodings that compare equal ordered by their bytes.
 struct GroupedResult {
   std::vector<std::string> group_columns;
-  std::vector<Row> group_keys;        ///< one entry per group
+  std::vector<Row> group_keys;        ///< one entry per group, in key order
   std::vector<Estimate> estimates;    ///< parallel to group_keys
   FlatKeyMap<size_t> index;           ///< encoded key -> slot
 
@@ -148,6 +153,94 @@ Result<GroupedResult> SvcCorrEstimateGrouped(
 Result<GroupedResult> SvcCorrEstimateGrouped(
     const GroupedResult& stale_exact, const CorrespondingSamples& samples,
     const AggregateQuery& q, const EstimatorOptions& opts = {});
+
+// ---- Exact partial moments --------------------------------------------------
+//
+// The sum, count and avg estimators are sums (§5.2): q(S), the correction
+// ĉ = Σ(t′ᵢ − tᵢ)/m and its variance, and the direct estimate Σt′/m. With
+// exact sums (common/exact_sum.h) they split into one pass per part of the
+// rows, which yields exact partial moments per group, and a finish step
+// that adds the parts' moments and applies the formulas to the rounded
+// sums. Any split of the rows into parts — storage order, shards — gives
+// the same bits, because a pair of corresponding rows never straddles two
+// parts (a sampling key's rows live on one shard). The public estimators
+// above run the same code as the one-part case.
+
+/// One group's exact moments over one part.
+struct GroupMoments {
+  ExactSum::Partial sum;  ///< Σ of the terms
+  ExactSum::Partial ssq;  ///< Σ of the squared terms (sample passes only)
+  uint64_t terms = 0;     ///< terms in `sum`
+  uint64_t rows = 0;      ///< rows (or pairs) of the part in the group
+};
+
+/// One pass's moments over one part, per group, in group-key order. An
+/// ungrouped pass has at most one group, with an empty key.
+struct PartialMoments {
+  std::vector<Row> group_keys;
+  std::vector<GroupMoments> groups;  ///< parallel to group_keys
+};
+
+/// True for the aggregates whose estimators finish from moments alone:
+/// sum, count and count(*).
+bool IsTotalAggregate(AggFunc f);
+/// True for the aggregates whose q(S) finishes from moments: the totals and
+/// avg.
+bool HasStaleMoments(AggFunc f);
+
+/// q(S) moments over one part of the stored view: per group, the terms are
+/// the rows' sum terms (x·cond, cond, or cond·[x not null]) and `terms`
+/// counts the rows; for avg they are the x of the rows satisfying the
+/// predicate with a non-null x. `rows` counts every row of the group.
+/// Requires HasStaleMoments(q.func). `cancel` (may be null) is polled.
+Result<PartialMoments> StaleMoments(const Table& view,
+                                    const std::vector<std::string>& group_columns,
+                                    const AggregateQuery& q,
+                                    const CancelToken* cancel = nullptr);
+
+/// SVC+CORR moments over one part's corresponding samples: per pair of
+/// corresponding rows, d = t′ − t (a missing side counts zero), grouped by
+/// the fresh row's group when it exists, else the stale row's. Requires
+/// IsTotalAggregate(q.func).
+Result<PartialMoments> CorrMoments(const CorrespondingSamples& samples,
+                                   const std::vector<std::string>& group_columns,
+                                   const AggregateQuery& q,
+                                   const CancelToken* cancel = nullptr);
+
+/// SVC+AQP moments over one part's clean sample: the fresh rows' sum terms
+/// t′. Requires IsTotalAggregate(q.func).
+Result<PartialMoments> AqpMoments(const CorrespondingSamples& samples,
+                                  const std::vector<std::string>& group_columns,
+                                  const AggregateQuery& q,
+                                  const CancelToken* cancel = nullptr);
+
+/// q(S) from the parts' StaleMoments: ExactAggregate over the union of the
+/// parts' rows, bit for bit.
+double FinishStale(const std::vector<const PartialMoments*>& parts,
+                   const AggregateQuery& q);
+/// Grouped: ExactAggregateGrouped over the union of the parts' rows.
+GroupedResult FinishStaleGrouped(const std::vector<const PartialMoments*>& parts,
+                                 const std::vector<std::string>& group_columns,
+                                 const AggregateQuery& q);
+
+/// SVC+CORR from q(S) and the parts' CorrMoments, sampled at `ratio`:
+/// SvcCorrEstimate over the union of the parts' samples.
+Estimate FinishCorr(double exact_stale,
+                    const std::vector<const PartialMoments*>& parts,
+                    double ratio, const EstimatorOptions& opts);
+/// Grouped SVC+CORR with q(S) given as the parts' StaleMoments.
+GroupedResult FinishCorrGrouped(
+    const std::vector<const PartialMoments*>& stale_parts,
+    const std::vector<const PartialMoments*>& parts,
+    const std::vector<std::string>& group_columns, const AggregateQuery& q,
+    double ratio, const EstimatorOptions& opts);
+
+/// SVC+AQP from the parts' AqpMoments: SvcAqpEstimate over the union.
+Estimate FinishAqp(const std::vector<const PartialMoments*>& parts,
+                   double ratio, const EstimatorOptions& opts);
+GroupedResult FinishAqpGrouped(const std::vector<const PartialMoments*>& parts,
+                               const std::vector<std::string>& group_columns,
+                               double ratio, const EstimatorOptions& opts);
 
 /// z-value for a two-sided normal interval at `confidence` (e.g. 0.95 ->
 /// 1.96). Supports the 0.8–0.999 range via a rational approximation.

@@ -11,24 +11,28 @@
 namespace svc {
 
 /// Merges per-shard corresponding samples into one sample in a canonical,
-/// shard-count-invariant order, so the stock estimators (core/estimator.h)
-/// run once at the coordinator and produce bit-identical answers at every
-/// shard count.
+/// shard-count-invariant order, for the estimators that need the rows
+/// themselves at the coordinator.
 ///
-/// Why merge samples instead of per-shard estimates: floating-point
-/// addition is not associative, so summing N per-shard partial sums would
-/// make the answer depend on N. Concatenating the per-shard rows and
-/// stable-sorting them by sampling-key *values* (Value's total order)
-/// yields an order that depends only on the data: a sampling key's rows
-/// all live on exactly one shard (that is the partitioning rule), so
-/// within a key the rows keep that shard's local order — which is the
-/// global ingestion order filtered to the key — and across keys the value
-/// order decides. The result is the same logical sample at N = 1, 2, 4,
-/// ..., and the estimator's deterministic chunking (DeterministicChunks
-/// depends only on row count) does the rest. Value order is also why
-/// answers match the *unsharded* engine bit-for-bit whenever the view's
-/// natural row order is increasing in the key (the common case: views
-/// materialize in base-scan order and deltas append with fresh keys).
+/// Sum, count and avg do not come here. Their answers are exact sums
+/// (common/exact_sum.h), which do not depend on the order or the split of
+/// the rows, so each shard returns exact partial moments and the
+/// coordinator only adds them (core/estimator.h, SvcEngine::QueryPart).
+/// Three consumers still need merged rows:
+///   * auto mode's §5.2.2 choice (ChooseEstimator), which pairs the rows;
+///   * the bootstrap intervals of median and of avg under SVC+CORR, which
+///     resample pairs in merged order, so their bounds depend on it;
+///   * the extremum corrections of min and max.
+///
+/// The order: concatenate the per-shard rows and stable-sort them by
+/// sampling-key *values* (Value's total order). A sampling key's rows all
+/// live on exactly one shard (the partitioning rule), so within a key the
+/// rows keep that shard's local order — the global ingestion order filtered
+/// to the key — and across keys the value order decides. The result is the
+/// same logical sample at N = 1, 2, 4, ... shards. An unsharded engine
+/// resamples its own storage order, so bootstrap bounds match it only when
+/// that order rises with the key; every other answer matches bit for bit
+/// whatever the order.
 ///
 /// All parts must agree on ratio, family, and key columns (they come from
 /// one fan-out). Empty parts are fine; at least one part is required.
@@ -39,9 +43,9 @@ Result<CorrespondingSamples> MergeCorrespondingSamples(
 
 /// Merges per-shard partitions of one table into a single table in
 /// canonical order: rows sorted by primary-key values (all columns for
-/// keyless tables, where equal rows are interchangeable). Used
-/// to gather a partitioned view's full stale contents for SVC+CORR and to
-/// reassemble partitioned base relations for plain SELECTs — the merged
+/// keyless tables, where equal rows are interchangeable). Used to
+/// reassemble partitioned relations and views for plain SELECTs, and a
+/// view's stale contents for the q(S) of median, min and max — the merged
 /// table is identical at every shard count.
 Result<Table> MergeShardTables(
     const std::vector<std::shared_ptr<const Table>>& parts);

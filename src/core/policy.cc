@@ -1,5 +1,6 @@
 #include "core/policy.h"
 
+#include "common/exact_sum.h"
 #include "common/flat_map.h"
 #include "relational/row_key.h"
 
@@ -62,20 +63,21 @@ Result<PolicyDecision> ChooseEstimator(const CorrespondingSamples& samples,
     d.mode = EstimatorMode::kCorr;
     return d;
   }
-  double mean_f = 0, mean_s = 0;
+  // Exact sums: the moments, and so the choice, ignore the pairs' order.
+  ExactSum sum_f, sum_s;
   paired.ForEach([&](std::string_view, const std::pair<double, double>& fs) {
-    mean_f += fs.first;
-    mean_s += fs.second;
+    sum_f.Add(fs.first);
+    sum_s.Add(fs.second);
   });
-  mean_f /= n;
-  mean_s /= n;
-  double var_s = 0, cov = 0;
+  const double mean_f = sum_f.Round() / n;
+  const double mean_s = sum_s.Round() / n;
+  ExactSum ss, sc;
   paired.ForEach([&](std::string_view, const std::pair<double, double>& fs) {
-    var_s += (fs.second - mean_s) * (fs.second - mean_s);
-    cov += (fs.second - mean_s) * (fs.first - mean_f);
+    ss.AddSquare(fs.second - mean_s);
+    sc.AddProduct(fs.second - mean_s, fs.first - mean_f);
   });
-  var_s /= (n - 1);
-  cov /= (n - 1);
+  const double var_s = ss.Round() / (n - 1);
+  const double cov = sc.Round() / (n - 1);
   d.var_stale = var_s;
   d.cov = cov;
   d.mode = var_s <= 2 * cov ? EstimatorMode::kCorr : EstimatorMode::kAqp;

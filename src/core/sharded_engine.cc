@@ -1,11 +1,13 @@
 #include "core/sharded_engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
 #include "common/flat_map.h"
 #include "common/thread_pool.h"
 #include "core/estimator_merge.h"
+#include "core/stale_memo.h"
 #include "relational/algebra.h"
 #include "relational/value.h"
 #include "sample/pushdown.h"
@@ -433,8 +435,16 @@ Result<std::vector<ViewMaintenanceScore>> ShardedEngine::ScoreViews(
       out.push_back(ScoreOneView(name, 0, 0, nullptr, eff, elapsed_ms));
       continue;
     }
-    SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> stored,
-                         GatherTable(snap, name));
+    // The logical view's rows: its parts' rows when partitioned, else
+    // shard 0's full copy. No rows are read.
+    const size_t parts =
+        snap.meta->IsPartitionedView(name) ? snap.shards.size() : 1;
+    uint64_t view_rows = 0;
+    for (size_t s = 0; s < parts; ++s) {
+      SVC_ASSIGN_OR_RETURN(const Table* part,
+                           snap.shards[s]->engine.db().GetTable(name));
+      view_rows += part->NumRows();
+    }
     // Coordinator-merged probe: same shape as the single-engine probe, and
     // bit-identical at any shard count, so the resulting scores (and
     // therefore the policy's refresh choices) are shard-count-invariant.
@@ -443,42 +453,36 @@ Result<std::vector<ViewMaintenanceScore>> ShardedEngine::ScoreViews(
     opts.auto_mode = true;
     Result<SvcAnswer> probe = Query(snap, name, AggregateQuery::Count(), opts);
     const Estimate* est = probe.ok() ? &probe.value().estimate : nullptr;
-    out.push_back(ScoreOneView(name, pending_rows, stored->NumRows(), est, eff,
-                               elapsed_ms));
+    out.push_back(
+        ScoreOneView(name, pending_rows, view_rows, est, eff, elapsed_ms));
   }
   return out;
 }
 
-Result<std::shared_ptr<const CorrespondingSamples>>
-ShardedEngine::FanOutSamples(const ShardedSnapshot& snap,
-                             const std::string& view, const AggregateQuery& q,
-                             const SvcQueryOptions& opts,
-                             EstimatorMode* mode_used) const {
+Result<std::vector<SvcQueryPart>> ShardedEngine::FanOutQuery(
+    const ShardedSnapshot& snap, const std::string& view,
+    const std::vector<std::string>& group_columns, const AggregateQuery& q,
+    const SvcQueryOptions& opts) const {
   const size_t n = snap.shards.size();
-  CleanOptions clean(opts.ratio, opts.family, opts.exec);
-  std::vector<std::shared_ptr<const CorrespondingSamples>> parts(n);
+  std::vector<SvcQueryPart> parts(n);
   std::vector<Status> statuses(n);
   std::vector<CacheOutcome> outcomes(n, CacheOutcome::kFullClean);
-  ParallelFor(static_cast<int>(n), n, [&](size_t s) {
-    Result<std::shared_ptr<const CorrespondingSamples>> r =
-        snap.shards[s]->engine.CleanSampleCached(view, clean, &outcomes[s]);
-    if (r.ok()) {
-      parts[s] = std::move(r).value();
-    } else {
-      statuses[s] = r.status();
-    }
+  // A read leaves one hardware thread to the statements arriving meanwhile:
+  // with every core cleaning, a write queued behind a query slows by half.
+  const int threads = std::max(
+      1, std::min(static_cast<int>(n), ResolveThreads(0) - 1));
+  ParallelFor(threads, n, [&](size_t s) {
+    statuses[s] = snap.shards[s]->engine.QueryPart(view, group_columns, q,
+                                                   opts, &parts[s],
+                                                   &outcomes[s]);
   });
+  // Every shard cleaned: one logical serving event, as an unsharded
+  // engine records it before its estimator runs.
+  bool cleaned = true;
+  for (const SvcQueryPart& p : parts) cleaned = cleaned && p.samples != nullptr;
+  if (cleaned) RecordFanOutOutcome(view, outcomes);
   for (const Status& st : statuses) SVC_RETURN_IF_ERROR(st);
-  RecordFanOutOutcome(view, outcomes);
-  SVC_ASSIGN_OR_RETURN(CorrespondingSamples merged,
-                       MergeCorrespondingSamples(parts));
-  auto shared = std::make_shared<const CorrespondingSamples>(std::move(merged));
-  *mode_used = opts.mode;
-  if (opts.auto_mode) {
-    SVC_ASSIGN_OR_RETURN(PolicyDecision d, ChooseEstimator(*shared, q));
-    *mode_used = d.mode;
-  }
-  return std::shared_ptr<const CorrespondingSamples>(shared);
+  return parts;
 }
 
 Result<SvcAnswer> ShardedEngine::Query(const ShardedSnapshot& snap,
@@ -491,22 +495,13 @@ Result<SvcAnswer> ShardedEngine::Query(const ShardedSnapshot& snap,
     // the answer, bitwise, at any shard count.
     return snap.shards[0]->engine.Query(view, q, opts);
   }
-  SvcAnswer answer;
-  SVC_ASSIGN_OR_RETURN(std::shared_ptr<const CorrespondingSamples> samples,
-                       FanOutSamples(snap, view, q, opts, &answer.mode_used));
-  if (answer.mode_used == EstimatorMode::kAqp) {
-    SVC_ASSIGN_OR_RETURN(answer.estimate,
-                         SvcAqpEstimate(*samples, q, opts.estimator));
-  } else {
+  SVC_ASSIGN_OR_RETURN(std::vector<SvcQueryPart> parts,
+                       FanOutQuery(snap, view, {}, q, opts));
+  return FinishSvcQuery(parts, q, opts, [&]() -> Result<double> {
     SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> stale,
                          GatherTable(snap, view));
-    SVC_ASSIGN_OR_RETURN(
-        double exact,
-        MemoExactAggregate(CoordinatorMemo(snap), view, stale, q));
-    SVC_ASSIGN_OR_RETURN(answer.estimate,
-                         SvcCorrEstimate(exact, *samples, q, opts.estimator));
-  }
-  return answer;
+    return MemoExactAggregate(CoordinatorMemo(snap), view, stale, q);
+  });
 }
 
 Result<SvcGroupedAnswer> ShardedEngine::QueryGrouped(
@@ -516,24 +511,16 @@ Result<SvcGroupedAnswer> ShardedEngine::QueryGrouped(
   if (!snap.meta->IsPartitionedView(view)) {
     return snap.shards[0]->engine.QueryGrouped(view, group_columns, q, opts);
   }
-  SvcGroupedAnswer answer;
-  SVC_ASSIGN_OR_RETURN(std::shared_ptr<const CorrespondingSamples> samples,
-                       FanOutSamples(snap, view, q, opts, &answer.mode_used));
-  if (answer.mode_used == EstimatorMode::kAqp) {
-    SVC_ASSIGN_OR_RETURN(
-        answer.result,
-        SvcAqpEstimateGrouped(*samples, group_columns, q, opts.estimator));
-  } else {
-    SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> stale,
-                         GatherTable(snap, view));
-    SVC_ASSIGN_OR_RETURN(std::shared_ptr<const GroupedResult> exact,
-                         MemoExactAggregateGrouped(CoordinatorMemo(snap), view,
-                                                   stale, group_columns, q));
-    SVC_ASSIGN_OR_RETURN(
-        answer.result,
-        SvcCorrEstimateGrouped(*exact, *samples, q, opts.estimator));
-  }
-  return answer;
+  SVC_ASSIGN_OR_RETURN(std::vector<SvcQueryPart> parts,
+                       FanOutQuery(snap, view, group_columns, q, opts));
+  return FinishSvcQueryGrouped(
+      parts, group_columns, q, opts,
+      [&]() -> Result<std::shared_ptr<const GroupedResult>> {
+        SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> stale,
+                             GatherTable(snap, view));
+        return MemoExactAggregateGrouped(CoordinatorMemo(snap), view, stale,
+                                         group_columns, q);
+      });
 }
 
 Result<std::shared_ptr<const Table>> ShardedEngine::GatherTable(

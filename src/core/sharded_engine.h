@@ -79,12 +79,15 @@ using ShardedSnapshotPtr = std::shared_ptr<const ShardedSnapshot>;
 /// key (`KeyHash` over the encoded key bytes — the same FNV-1a/splitmix64
 /// hash the executor's `KeyBuffer` uses), so a sampling key's rows — and
 /// therefore its η-sample membership — live on exactly one shard. SVC
-/// queries fan out to the per-shard snapshots on the shared `ThreadPool`,
-/// clean each shard's sample locally (each shard has its own
-/// `SampleCache`), and merge the per-shard corresponding samples in a
-/// canonical order (core/estimator_merge.h) before running the stock
-/// estimators once at the coordinator — which is what makes every answer
-/// bit-identical at every shard count.
+/// queries fan out to the per-shard snapshots on the shared `ThreadPool`:
+/// each shard cleans its sample locally (each shard has its own
+/// `SampleCache`) and, for sum, count and avg, returns exact partial
+/// moments of q(S) and of its sample (SvcEngine::QueryPart), which the
+/// coordinator only adds. Exact sums do not depend on how the rows split
+/// into shards, so every answer is bit-identical at every shard count.
+/// Only auto mode's §5.2.2 choice, the bootstrap and the extrema still
+/// merge the per-shard samples in canonical order (core/estimator_merge.h),
+/// and only median, min and max still gather the stale view.
 ///
 /// Placement is derived, not declared: relations start replicated; CREATE
 /// VIEW pushes the view's sampling key down its plan (the same Theorem-1
@@ -150,9 +153,9 @@ class ShardedEngine {
                  size_t* committed_deletes = nullptr);
 
   // ---- Reads (against one snapshot cut) -----------------------------------
-  /// SVC estimate on the named view. Partitioned-class views fan out,
-  /// merge samples, and estimate at the coordinator; replicated-class
-  /// views answer from shard 0 (identical state everywhere).
+  /// SVC estimate on the named view. Partitioned-class views fan out and
+  /// finish at the coordinator (FinishSvcQuery); replicated-class views
+  /// answer from shard 0 (identical state everywhere).
   Result<SvcAnswer> Query(const ShardedSnapshot& snap, const std::string& view,
                           const AggregateQuery& q,
                           const SvcQueryOptions& opts = {}) const;
@@ -167,6 +170,7 @@ class ShardedEngine {
   /// relations/views merge their shard parts in canonical order
   /// (memoized per shard-part identity, so repeated gathers between
   /// maintenance commits are free); everything else is shard 0's table.
+  /// Plain SELECT and the q(S) of median, min and max read through it.
   Result<std::shared_ptr<const Table>> GatherTable(
       const ShardedSnapshot& snap, const std::string& name) const;
 
@@ -226,9 +230,9 @@ class ShardedEngine {
   MaintenanceStats maintenance_stats() const;
 
   /// Coordinator-side view scores under `snap` (SHOW MAINTENANCE and the
-  /// tick): pending rows are logical (PendingRowsFor), view rows come from
-  /// the gathered table, and the error probe is a coordinator-merged
-  /// auto-mode COUNT(*) — all shard-count-invariant.
+  /// tick): pending rows are logical (PendingRowsFor), view rows are the
+  /// sum of the shard parts' row counts, and the error probe is an
+  /// auto-mode COUNT(*) — all shard-count-invariant, and nothing gathers.
   Result<std::vector<ViewMaintenanceScore>> ScoreViews(
       const ShardedSnapshot& snap, const MaintenancePolicyConfig& cfg,
       uint64_t elapsed_ms) const;
@@ -241,9 +245,10 @@ class ShardedEngine {
   std::map<std::string, ViewCacheStats> CoordinatorCacheStats(
       const ShardedSnapshot& snap) const;
 
-  /// Lookup counters of the coordinator's stale-side memo (q(S) over
-  /// gathered partitioned-class views). Each shard's engine lineage keeps
-  /// its own memo for η (EngineSnapshot::engine.StaleMemoStats()).
+  /// Lookup counters of the coordinator's stale-side memo (the q(S) of
+  /// median, min and max over gathered partitioned-class views). Each
+  /// shard's engine lineage keeps its own memo for η and for its q(S)
+  /// moments (EngineSnapshot::engine.StaleMemoStats()).
   StaleMemo::Stats CoordinatorStaleMemoStats() const {
     return stale_memo_.stats();
   }
@@ -298,12 +303,13 @@ class ShardedEngine {
                                         const std::vector<std::string>& key,
                                         const ShardedSnapshot& snap) const;
 
-  /// Merged per-shard samples for a partitioned view (fan-out + canonical
-  /// merge), plus the resolved estimator mode.
-  Result<std::shared_ptr<const CorrespondingSamples>> FanOutSamples(
+  /// Every shard's part of a query on a partitioned view, computed in
+  /// parallel (SvcEngine::QueryPart), with the fan-out's serving event
+  /// recorded.
+  Result<std::vector<SvcQueryPart>> FanOutQuery(
       const ShardedSnapshot& snap, const std::string& view,
-      const AggregateQuery& q, const SvcQueryOptions& opts,
-      EstimatorMode* mode_used) const;
+      const std::vector<std::string>& group_columns, const AggregateQuery& q,
+      const SvcQueryOptions& opts) const;
 
   /// The coordinator memo when `snap`'s sample caches are on, else null
   /// (every shard's switch is identical; shard 0's is read).
@@ -330,8 +336,9 @@ class ShardedEngine {
   mutable std::map<std::string, GatherEntry> gather_cache_;
   mutable std::atomic<uint64_t> gathers_built_{0};
 
-  /// q(S) over gathered views, validated by the merged table's identity
-  /// (GatherTable installs a new object whenever a shard part changes).
+  /// Median / min / max q(S) over gathered views, validated by the merged
+  /// table's identity (GatherTable installs a new object whenever a shard
+  /// part changes).
   mutable StaleMemo stale_memo_;
 
   /// Logical serving counters for partitioned-class views (one event per

@@ -79,7 +79,12 @@ StaleMemo::Stats StaleMemo::stats() const {
 namespace {
 
 /// Key tags, one per kind of result, so no two kinds share a key.
-enum KeyTag : uint8_t { kExactTag = 1, kGroupedTag = 2, kEtaTag = 3 };
+enum KeyTag : uint8_t {
+  kExactTag = 1,
+  kGroupedTag = 2,
+  kEtaTag = 3,
+  kMomentsTag = 4
+};
 
 /// q(S) key: everything ExactAggregate[Grouped] reads of the query.
 std::string ExactKey(KeyTag tag, const std::vector<std::string>& group_columns,
@@ -211,6 +216,27 @@ Result<std::shared_ptr<const GroupedResult>> MemoExactAggregateGrouped(
   auto shared = std::make_shared<const GroupedResult>(std::move(exact));
   if (memo != nullptr) memo->Store(name, table, std::move(key), shared);
   return std::shared_ptr<const GroupedResult>(std::move(shared));
+}
+
+Result<std::shared_ptr<const PartialMoments>> MemoStaleMoments(
+    StaleMemo* memo, const std::string& name,
+    const std::shared_ptr<const Table>& table,
+    const std::vector<std::string>& group_columns, const AggregateQuery& q,
+    const CancelToken* cancel) {
+  if (table == nullptr) return NoSuchTable(name);
+  std::string key;
+  if (memo != nullptr) {
+    key = ExactKey(kMomentsTag, group_columns, q);
+    StaleMemo::Value hit;
+    if (memo->Find(name, table, key, &hit)) {
+      return std::get<std::shared_ptr<const PartialMoments>>(hit);
+    }
+  }
+  SVC_ASSIGN_OR_RETURN(PartialMoments moments,
+                       StaleMoments(*table, group_columns, q, cancel));
+  auto shared = std::make_shared<const PartialMoments>(std::move(moments));
+  if (memo != nullptr) memo->Store(name, table, std::move(key), shared);
+  return std::shared_ptr<const PartialMoments>(std::move(shared));
 }
 
 Result<CorrespondingSamples> MemoCleanViewSample(StaleMemo* memo,

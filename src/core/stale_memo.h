@@ -26,7 +26,7 @@ namespace svc {
 /// every query of a maintenance period. Two kinds of work go through it:
 ///
 ///   * q(S), the exact stale term of the SVC+CORR estimate q(S) + ĉ (§5.2),
-///     scalar or grouped;
+///     scalar or grouped, kept as exact moments for sum, count and avg;
 ///   * η over committed-table scans in a cleaning run: the stale sample Ŝ,
 ///     the stale-view branch of the Figure 3 merge join, and the pushed-
 ///     down base-relation leaves. Delta chunks and key-set filters are
@@ -60,8 +60,9 @@ namespace svc {
 /// its memo by pointer — unlike SampleCache, which is copied into each fork
 /// and versioned by the pending queue — because a result stored by a reader
 /// of one snapshot must serve the next head, which a writer forks every few
-/// milliseconds under ingest. The ShardedEngine coordinator owns one for
-/// q(S) over gathered views. Memo use follows the sample-cache switch: a
+/// milliseconds under ingest. Each shard of a ShardedEngine memoizes the
+/// q(S) moments of its own partition; the coordinator owns one more for the
+/// q(S) of median, min and max over gathered views. Memo use follows the sample-cache switch: a
 /// cache-off engine computes everything itself, so it stays a true
 /// reference for the memo too. Thread-safe.
 class StaleMemo {
@@ -82,8 +83,10 @@ class StaleMemo {
   StaleMemo(const StaleMemo&) = delete;
   StaleMemo& operator=(const StaleMemo&) = delete;
 
-  /// A memoized result: q(S) scalar, q(S) grouped, or η rows.
+  /// A memoized result: q(S) scalar, q(S) grouped, q(S) moments, or η
+  /// rows.
   using Value = std::variant<double, std::shared_ptr<const GroupedResult>,
+                             std::shared_ptr<const PartialMoments>,
                              std::shared_ptr<const Table>>;
 
   /// The result stored under `key` for table `name` if it was computed
@@ -134,6 +137,15 @@ Result<std::shared_ptr<const GroupedResult>> MemoExactAggregateGrouped(
     StaleMemo* memo, const std::string& name,
     const std::shared_ptr<const Table>& table,
     const std::vector<std::string>& group_columns, const AggregateQuery& q);
+
+/// StaleMoments(*table, group_columns, q) for the table registered as
+/// `name`: the exact q(S) moments of one part (a shard's partition of a
+/// view, or a whole view), served from `memo` when it is non-null.
+Result<std::shared_ptr<const PartialMoments>> MemoStaleMoments(
+    StaleMemo* memo, const std::string& name,
+    const std::shared_ptr<const Table>& table,
+    const std::vector<std::string>& group_columns, const AggregateQuery& q,
+    const CancelToken* cancel = nullptr);
 
 /// CleanViewSample with η over committed tables served from `memo`: every
 /// η(Scan(T)) leaf of the cleaning plans with T the stored view or one of

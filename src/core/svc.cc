@@ -1,5 +1,6 @@
 #include "core/svc.h"
 
+#include "core/estimator_merge.h"
 #include "relational/executor.h"
 
 namespace svc {
@@ -190,12 +191,56 @@ SvcEngine::CleanSampleCached(const std::string& name, const CleanOptions& opts,
   return samples;
 }
 
-Result<std::shared_ptr<const CorrespondingSamples>> SvcEngine::PrepareSvcQuery(
-    const std::string& name, const AggregateQuery& q,
-    const SvcQueryOptions& opts, EstimatorMode* mode_used) const {
-  CleanOptions clean_opts{opts.ratio, opts.family, opts.exec};
-  SVC_ASSIGN_OR_RETURN(std::shared_ptr<const CorrespondingSamples> samples,
-                       CleanSampleCached(name, clean_opts));
+Status SvcEngine::QueryPart(const std::string& name,
+                            const std::vector<std::string>& group_columns,
+                            const AggregateQuery& q,
+                            const SvcQueryOptions& opts, SvcQueryPart* part,
+                            CacheOutcome* outcome) const {
+  const CleanOptions clean{opts.ratio, opts.family, opts.exec};
+  SVC_ASSIGN_OR_RETURN(part->samples, CleanSampleCached(name, clean, outcome));
+  const CancelToken* cancel = opts.exec.cancel;
+  if ((opts.auto_mode || opts.mode == EstimatorMode::kCorr) &&
+      HasStaleMoments(q.func)) {
+    SVC_ASSIGN_OR_RETURN(part->stale,
+                         MemoStaleMoments(memo(), name, db_.GetTableShared(name),
+                                          group_columns, q, cancel));
+  }
+  if (!opts.auto_mode && IsTotalAggregate(q.func)) {
+    Result<PartialMoments> m =
+        opts.mode == EstimatorMode::kCorr
+            ? CorrMoments(*part->samples, group_columns, q, cancel)
+            : AqpMoments(*part->samples, group_columns, q, cancel);
+    if (!m.ok()) return m.status();
+    part->sample = std::make_shared<const PartialMoments>(std::move(m).value());
+  }
+  return Status::OK();
+}
+
+namespace {
+
+std::vector<const PartialMoments*> Moments(
+    const std::vector<SvcQueryPart>& parts,
+    std::shared_ptr<const PartialMoments> SvcQueryPart::*member) {
+  std::vector<const PartialMoments*> out;
+  out.reserve(parts.size());
+  for (const SvcQueryPart& p : parts) out.push_back((p.*member).get());
+  return out;
+}
+
+/// The parts' samples as one: the only part's, or their canonical merge.
+/// Runs the §5.2.2 choice on them in auto mode.
+Result<std::shared_ptr<const CorrespondingSamples>> MergedSamples(
+    const std::vector<SvcQueryPart>& parts, const AggregateQuery& q,
+    const SvcQueryOptions& opts, EstimatorMode* mode_used) {
+  std::shared_ptr<const CorrespondingSamples> samples = parts[0].samples;
+  if (parts.size() > 1) {
+    std::vector<std::shared_ptr<const CorrespondingSamples>> all;
+    all.reserve(parts.size());
+    for (const SvcQueryPart& p : parts) all.push_back(p.samples);
+    SVC_ASSIGN_OR_RETURN(CorrespondingSamples merged,
+                         MergeCorrespondingSamples(all));
+    samples = std::make_shared<const CorrespondingSamples>(std::move(merged));
+  }
   *mode_used = opts.mode;
   if (opts.auto_mode) {
     SVC_ASSIGN_OR_RETURN(PolicyDecision d, ChooseEstimator(*samples, q));
@@ -204,45 +249,99 @@ Result<std::shared_ptr<const CorrespondingSamples>> SvcEngine::PrepareSvcQuery(
   return samples;
 }
 
+}  // namespace
+
+Result<SvcAnswer> FinishSvcQuery(const std::vector<SvcQueryPart>& parts,
+                                 const AggregateQuery& q,
+                                 const SvcQueryOptions& opts,
+                                 const StaleExactFn& stale_exact) {
+  SvcAnswer answer;
+  const double ratio = parts[0].samples->ratio;
+  const EstimatorOptions& est = opts.estimator;
+  if (parts[0].sample != nullptr) {
+    answer.mode_used = opts.mode;
+    const std::vector<const PartialMoments*> m =
+        Moments(parts, &SvcQueryPart::sample);
+    answer.estimate =
+        opts.mode == EstimatorMode::kAqp
+            ? FinishAqp(m, ratio, est)
+            : FinishCorr(FinishStale(Moments(parts, &SvcQueryPart::stale), q),
+                         m, ratio, est);
+    return answer;
+  }
+  SVC_ASSIGN_OR_RETURN(std::shared_ptr<const CorrespondingSamples> samples,
+                       MergedSamples(parts, q, opts, &answer.mode_used));
+  if (answer.mode_used == EstimatorMode::kAqp) {
+    SVC_ASSIGN_OR_RETURN(answer.estimate, SvcAqpEstimate(*samples, q, est));
+    return answer;
+  }
+  double exact = 0.0;
+  if (parts[0].stale != nullptr) {
+    exact = FinishStale(Moments(parts, &SvcQueryPart::stale), q);
+  } else {
+    SVC_ASSIGN_OR_RETURN(exact, stale_exact());
+  }
+  SVC_ASSIGN_OR_RETURN(answer.estimate,
+                       SvcCorrEstimate(exact, *samples, q, est));
+  return answer;
+}
+
+Result<SvcGroupedAnswer> FinishSvcQueryGrouped(
+    const std::vector<SvcQueryPart>& parts,
+    const std::vector<std::string>& group_columns, const AggregateQuery& q,
+    const SvcQueryOptions& opts, const StaleExactGroupedFn& stale_exact) {
+  SvcGroupedAnswer answer;
+  const double ratio = parts[0].samples->ratio;
+  const EstimatorOptions& est = opts.estimator;
+  if (parts[0].sample != nullptr) {
+    answer.mode_used = opts.mode;
+    const std::vector<const PartialMoments*> m =
+        Moments(parts, &SvcQueryPart::sample);
+    answer.result =
+        opts.mode == EstimatorMode::kAqp
+            ? FinishAqpGrouped(m, group_columns, ratio, est)
+            : FinishCorrGrouped(Moments(parts, &SvcQueryPart::stale), m,
+                                group_columns, q, ratio, est);
+    return answer;
+  }
+  SVC_ASSIGN_OR_RETURN(std::shared_ptr<const CorrespondingSamples> samples,
+                       MergedSamples(parts, q, opts, &answer.mode_used));
+  if (answer.mode_used == EstimatorMode::kAqp) {
+    SVC_ASSIGN_OR_RETURN(answer.result, SvcAqpEstimateGrouped(
+                                            *samples, group_columns, q, est));
+    return answer;
+  }
+  std::shared_ptr<const GroupedResult> exact;
+  if (parts[0].stale != nullptr) {
+    exact = std::make_shared<const GroupedResult>(FinishStaleGrouped(
+        Moments(parts, &SvcQueryPart::stale), group_columns, q));
+  } else {
+    SVC_ASSIGN_OR_RETURN(exact, stale_exact());
+  }
+  SVC_ASSIGN_OR_RETURN(answer.result,
+                       SvcCorrEstimateGrouped(*exact, *samples, q, est));
+  return answer;
+}
+
 Result<SvcAnswer> SvcEngine::Query(const std::string& name,
                                    const AggregateQuery& q,
                                    const SvcQueryOptions& opts) const {
-  SvcAnswer answer;
-  SVC_ASSIGN_OR_RETURN(std::shared_ptr<const CorrespondingSamples> samples,
-                       PrepareSvcQuery(name, q, opts, &answer.mode_used));
-  if (answer.mode_used == EstimatorMode::kAqp) {
-    SVC_ASSIGN_OR_RETURN(answer.estimate,
-                         SvcAqpEstimate(*samples, q, opts.estimator));
-  } else {
-    SVC_ASSIGN_OR_RETURN(
-        double exact,
-        MemoExactAggregate(memo(), name, db_.GetTableShared(name), q));
-    SVC_ASSIGN_OR_RETURN(answer.estimate,
-                         SvcCorrEstimate(exact, *samples, q, opts.estimator));
-  }
-  return answer;
+  std::vector<SvcQueryPart> part(1);
+  SVC_RETURN_IF_ERROR(QueryPart(name, {}, q, opts, &part[0]));
+  return FinishSvcQuery(part, q, opts, [&] {
+    return MemoExactAggregate(memo(), name, db_.GetTableShared(name), q);
+  });
 }
 
 Result<SvcGroupedAnswer> SvcEngine::QueryGrouped(
     const std::string& name, const std::vector<std::string>& group_columns,
     const AggregateQuery& q, const SvcQueryOptions& opts) const {
-  SvcGroupedAnswer answer;
-  SVC_ASSIGN_OR_RETURN(std::shared_ptr<const CorrespondingSamples> samples,
-                       PrepareSvcQuery(name, q, opts, &answer.mode_used));
-  if (answer.mode_used == EstimatorMode::kAqp) {
-    SVC_ASSIGN_OR_RETURN(
-        answer.result,
-        SvcAqpEstimateGrouped(*samples, group_columns, q, opts.estimator));
-  } else {
-    SVC_ASSIGN_OR_RETURN(
-        std::shared_ptr<const GroupedResult> exact,
-        MemoExactAggregateGrouped(memo(), name, db_.GetTableShared(name),
-                                  group_columns, q));
-    SVC_ASSIGN_OR_RETURN(
-        answer.result,
-        SvcCorrEstimateGrouped(*exact, *samples, q, opts.estimator));
-  }
-  return answer;
+  std::vector<SvcQueryPart> part(1);
+  SVC_RETURN_IF_ERROR(QueryPart(name, group_columns, q, opts, &part[0]));
+  return FinishSvcQueryGrouped(part, group_columns, q, opts, [&] {
+    return MemoExactAggregateGrouped(memo(), name, db_.GetTableShared(name),
+                                     group_columns, q);
+  });
 }
 
 Result<double> SvcEngine::QueryStale(const std::string& name,

@@ -53,6 +53,40 @@ struct SvcGroupedAnswer {
   EstimatorMode mode_used = EstimatorMode::kCorr;
 };
 
+/// One part's share of an SVC query: an engine's, or one shard's of a
+/// ShardedEngine. The part cleans its sample and runs the one-pass moment
+/// kernels (core/estimator.h) over its own rows, so a query that finishes
+/// from moments needs no rows at the coordinator.
+struct SvcQueryPart {
+  std::shared_ptr<const CorrespondingSamples> samples;
+  /// q(S) moments over the part's stored view, memoized per table version;
+  /// set when the answer may be SVC+CORR and HasStaleMoments(q.func).
+  std::shared_ptr<const PartialMoments> stale;
+  /// SVC+CORR or SVC+AQP moments over `samples`; set when the mode is fixed
+  /// (not auto) and IsTotalAggregate(q.func).
+  std::shared_ptr<const PartialMoments> sample;
+};
+
+/// q(S) of an aggregate without moments (median, min, max), computed by
+/// the caller over the whole stale view.
+using StaleExactFn = std::function<Result<double>()>;
+using StaleExactGroupedFn =
+    std::function<Result<std::shared_ptr<const GroupedResult>>()>;
+
+/// The coordinator half of an SVC query over its parts (one per shard; one
+/// for an unsharded engine). Moments only add. The rows are needed only by
+/// auto mode's §5.2.2 choice and the bootstrap and extremum estimators;
+/// for those, several parts' samples merge in canonical order
+/// (core/estimator_merge.h).
+Result<SvcAnswer> FinishSvcQuery(const std::vector<SvcQueryPart>& parts,
+                                 const AggregateQuery& q,
+                                 const SvcQueryOptions& opts,
+                                 const StaleExactFn& stale_exact);
+Result<SvcGroupedAnswer> FinishSvcQueryGrouped(
+    const std::vector<SvcQueryPart>& parts,
+    const std::vector<std::string>& group_columns, const AggregateQuery& q,
+    const SvcQueryOptions& opts, const StaleExactGroupedFn& stale_exact);
+
 /// How CleanSampleCached satisfied one request. ShardedEngine's fan-out
 /// collapses its shards' outcomes into one logical serving event per query
 /// (any full clean dominates, else any advance, else a pure hit), so SHOW
@@ -205,6 +239,16 @@ class SvcEngine {
     return maintenance_policy_;
   }
 
+  /// This engine's part of a query on view `name` (group_columns empty
+  /// for a scalar query): the cleaned sample, and the moments
+  /// SvcQueryPart documents. `outcome` reports the cleaning's cache
+  /// outcome, and `part->samples` is set, even when a moment pass fails
+  /// (a cancelled one, say).
+  Status QueryPart(const std::string& name,
+                   const std::vector<std::string>& group_columns,
+                   const AggregateQuery& q, const SvcQueryOptions& opts,
+                   SvcQueryPart* part, CacheOutcome* outcome = nullptr) const;
+
   /// Answers an aggregate query on the named view with a bounded
   /// approximation reflecting the pending deltas (Problem 2).
   Result<SvcAnswer> Query(const std::string& name, const AggregateQuery& q,
@@ -223,14 +267,6 @@ class SvcEngine {
                             const AggregateQuery& q) const;
 
  private:
-  /// Shared prologue of Query / QueryGrouped: draws the corresponding
-  /// samples for `name` (through the cache) and resolves the estimator
-  /// mode (running the §5.2.2 break-even rule when `opts.auto_mode` is
-  /// set).
-  Result<std::shared_ptr<const CorrespondingSamples>> PrepareSvcQuery(
-      const std::string& name, const AggregateQuery& q,
-      const SvcQueryOptions& opts, EstimatorMode* mode_used) const;
-
   /// The stale-side memo when the sample cache is on, else null (the
   /// cache-off engine computes q(S) and η itself).
   StaleMemo* memo() const {

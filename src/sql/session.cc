@@ -396,21 +396,9 @@ Result<SqlResult> SqlSession::ExecSvcSelect(const Statement& stmt,
 
   SVC_ASSIGN_OR_RETURN(SvcGroupedAnswer answer,
                        cut.QueryGrouped(view_name, sel.group_by, q, opts));
-  // Sort groups by key for stable, scannable output (estimates are
-  // unchanged; the engine's group order is first-encounter).
-  std::vector<size_t> order(answer.result.group_keys.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const Row& ka = answer.result.group_keys[a];
-    const Row& kb = answer.result.group_keys[b];
-    for (size_t c = 0; c < ka.size() && c < kb.size(); ++c) {
-      if (ka[c] < kb[c]) return true;
-      if (kb[c] < ka[c]) return false;
-    }
-    return a < b;
-  });
+  // The engine lists groups in key order.
   Table out(std::move(schema));
-  for (size_t i : order) {
+  for (size_t i = 0; i < answer.result.group_keys.size(); ++i) {
     Row row = answer.result.group_keys[i];
     AppendEstimateValues(answer.result.estimates[i], answer.mode_used, &row);
     out.AppendUnchecked(std::move(row));
@@ -418,7 +406,8 @@ Result<SqlResult> SqlSession::ExecSvcSelect(const Statement& stmt,
   result.rows = std::move(out);
   result.mode_used = answer.mode_used;
   result.message = q.ToString() + " on " + view_name + ": " +
-                   std::to_string(order.size()) + " group(s) (" +
+                   std::to_string(answer.result.group_keys.size()) +
+                   " group(s) (" +
                    ModeName(answer.mode_used) + ")";
   return result;
 }

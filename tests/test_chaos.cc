@@ -40,6 +40,7 @@
 #include "storage/durable_engine.h"
 #include "storage/fault.h"
 #include "storage/serde.h"
+#include "tests/served_process.h"
 #include "tests/test_util.h"
 
 namespace svc {
@@ -688,63 +689,15 @@ TEST(ChaosCrashTest, CrashBeforeResponseConvergesViaRetry) {
   std::filesystem::remove(port_file);
   std::filesystem::create_directories(dir);
 
-  // The child execs svc_served (built beside this binary) at once: a forked
-  // copy of this multi-threaded test process may not start threads under
-  // ThreadSanitizer. SVC_FAULT arms the crash on the response to the first
-  // delivery of idempotency seq 3 (CREATE TABLE is seq 1, so that is the
-  // second INSERT), whose WAL record, idempotency mark included, is then
-  // durable. Keyed by seq, not by request count, so client timeouts that
-  // retry earlier statements (a slow sanitizer build) cannot move the
-  // crash to another statement.
-  const std::string served =
-      (std::filesystem::read_symlink("/proc/self/exe").parent_path() /
-       "svc_served")
-          .string();
-  ASSERT_TRUE(std::filesystem::exists(served)) << served;
-  std::vector<std::string> args = {served, "--port", "0", "--data-dir", dir};
-  args.insert(args.end(), {"--port-file", port_file});
-  std::vector<std::string> env = {"SVC_FAULT=server.pre_response.seq3"};
-  for (char** e = environ; *e != nullptr; ++e) {
-    if (std::strncmp(*e, "SVC_FAULT=", 10) != 0) env.push_back(*e);
-  }
-  auto c_strings = [](std::vector<std::string>& v) {
-    std::vector<char*> out;
-    for (std::string& s : v) out.push_back(s.data());
-    out.push_back(nullptr);
-    return out;
-  };
-  std::vector<char*> argv = c_strings(args);
-  std::vector<char*> envp = c_strings(env);
-  const pid_t child = fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) {
-    execve(argv[0], argv.data(), envp.data());
-    _exit(127);
-  }
-  // Kills the child on any early exit from this test.
-  struct Reaper {
-    pid_t pid;
-    Reaper(const Reaper&) = delete;
-    Reaper& operator=(const Reaper&) = delete;
-    ~Reaper() {
-      if (pid <= 0) return;
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-    }
-  } reaper{child};
-  uint16_t port = 0;
-  for (int i = 0; i < 1200 && port == 0; ++i) {
-    std::FILE* f = std::fopen(port_file.c_str(), "r");
-    unsigned parsed = 0;
-    if (f != nullptr) {
-      if (std::fscanf(f, "%u", &parsed) == 1) {
-        port = static_cast<uint16_t>(parsed);
-      }
-      std::fclose(f);
-    }
-    if (port == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  ASSERT_NE(port, 0) << "svc_served never wrote " << port_file;
+  // SVC_FAULT arms the crash on the response to the first delivery of
+  // idempotency seq 3 (CREATE TABLE is seq 1, so that is the second
+  // INSERT), whose WAL record, idempotency mark included, is then durable.
+  // Keyed by seq, not by request count, so client timeouts that retry
+  // earlier statements (a slow sanitizer build) cannot move the crash to
+  // another statement.
+  testing_util::ServedProcess child;
+  ASSERT_EQ(child.Start(dir, port_file, "server.pre_response.seq3"), "");
+  const uint16_t port = child.port();
 
   const std::vector<std::string> stmts = {
       "CREATE TABLE t (k INT, v INT, PRIMARY KEY (k));",
@@ -778,11 +731,7 @@ TEST(ChaosCrashTest, CrashBeforeResponseConvergesViaRetry) {
     }
   });
 
-  int wstatus = 0;
-  ASSERT_EQ(waitpid(child, &wstatus, 0), child);
-  reaper.pid = 0;
-  ASSERT_TRUE(WIFEXITED(wstatus));
-  ASSERT_EQ(WEXITSTATUS(wstatus), FaultInjector::kCrashExitCode);
+  ASSERT_EQ(child.Wait(), FaultInjector::kCrashExitCode);
 
   // Restart over the recovered directory, on the same port (SO_REUSEADDR;
   // a few rebind attempts tolerate lingering TIME_WAIT conns).

@@ -38,6 +38,8 @@
 #include "sql/session.h"
 #include "storage/durable_engine.h"
 #include "tests/test_util.h"
+#include "tpcd/tpcd_gen.h"
+#include "tpcd/tpcd_views.h"
 
 namespace svc {
 namespace {
@@ -487,6 +489,328 @@ constexpr const char* kCatalogReads[] = {
     "SHOW MAINTENANCE",
     "SELECT g, c, sv FROM V WHERE c > 1",
 };
+
+// ---- Storage order --------------------------------------------------------
+//
+// Sum, count and avg answers may not depend on the order rows are stored
+// in. The base tables load in their generated order and in two seeded
+// permutations, one delta stream queues on each, and every lane — private,
+// shared, and 1/2/4 shards — must answer every query bit for bit like the
+// private engine over the generated order: value, CI bounds, sample rows,
+// mode, and group order. The one exception is AVG under SVC+CORR, whose
+// bootstrap interval resamples pairs in storage order by design. The views
+// are the TPCD join and an aggregate view whose per-row terms (sv * 0.1)
+// round, so a sum over them depends on order unless it is exact.
+
+std::string SqlLiteral(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kInt:
+      return std::to_string(v.AsInt());
+    case ValueType::kDouble:
+      return Lit17(v.AsDouble());
+    case ValueType::kString:
+      return "'" + v.AsString() + "'";
+    default:
+      return "NULL";
+  }
+}
+
+std::string InsertSql(const std::string& table, const std::vector<Row>& rows) {
+  std::string sql = "INSERT INTO " + table + " VALUES ";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    sql += i > 0 ? ", (" : "(";
+    for (size_t c = 0; c < rows[i].size(); ++c) {
+      if (c > 0) sql += ", ";
+      sql += SqlLiteral(rows[i][c]);
+    }
+    sql += ")";
+  }
+  return sql;
+}
+
+/// The base tables: TPCD plus F(id, g, v) with v = k/16.
+Database OrderTestBase() {
+  TpcdConfig cfg;
+  cfg.scale_factor = 0.001;
+  Database db = GenerateTpcdDatabase(cfg).value();
+  Table fact(FactSchema());
+  EXPECT_TRUE(fact.SetPrimaryKey({"id"}).ok());
+  Rng rng(0x0bde5);
+  for (int64_t id = 0; id < 300; ++id) {
+    EXPECT_TRUE(fact.Insert({Value::Int(id), Value::Int(rng.UniformInt(1, 6)),
+                             Value::Double(static_cast<double>(
+                                               rng.UniformInt(0, 100000)) /
+                                           16.0)})
+                    .ok());
+  }
+  EXPECT_TRUE(db.CreateTable("F", std::move(fact)).ok());
+  return db;
+}
+
+/// `base` with every table's rows in a seeded permutation (seed 0 keeps
+/// the generated order).
+Database Permuted(const Database& base, uint64_t seed) {
+  Database db;
+  Rng rng(seed);
+  for (const std::string& name : base.TableNames()) {
+    const Table& t = *base.GetTable(name).value();
+    std::vector<size_t> order(t.NumRows());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (size_t i = order.size(); seed != 0 && i > 1; --i) {
+      std::swap(order[i - 1], order[static_cast<size_t>(rng.UniformInt(
+                                  0, static_cast<int64_t>(i) - 1))]);
+    }
+    Table out(t.schema());
+    EXPECT_TRUE(out.SetPrimaryKey(t.PrimaryKeyNames()).ok());
+    for (size_t i : order) EXPECT_TRUE(out.Insert(t.row(i)).ok());
+    EXPECT_TRUE(db.CreateTable(name, std::move(out)).ok());
+  }
+  return db;
+}
+
+constexpr char kAggViewSql[] =
+    "SELECT g, COUNT(1) AS c, SUM(v) AS sv FROM F GROUP BY g";
+
+/// One session per lane over `db`, with the join view J and the aggregate
+/// view A; `shared` receives the shared lane's engine.
+std::vector<SqlLane> OrderLanes(const Database& db,
+                                std::shared_ptr<SharedEngine>* shared_out) {
+  std::vector<SqlLane> lanes;
+  const PlanPtr agg = SqlToPlan(kAggViewSql, db).value();
+  SvcEngine priv(db);
+  EXPECT_TRUE(
+      priv.CreateView("J", TpcdJoinViewDef(), TpcdJoinViewSamplingKey()).ok());
+  EXPECT_TRUE(priv.CreateView("A", agg).ok());
+  lanes.push_back({"private", std::make_unique<SqlSession>(
+                                  EngineHandle::Private(std::move(priv)))});
+  auto shared = std::make_shared<SharedEngine>(db);
+  EXPECT_TRUE(
+      shared->CreateView("J", TpcdJoinViewDef(), TpcdJoinViewSamplingKey())
+          .ok());
+  EXPECT_TRUE(shared->CreateView("A", agg).ok());
+  *shared_out = shared;
+  lanes.push_back(
+      {"shared", std::make_unique<SqlSession>(EngineHandle::Shared(shared))});
+  for (int shards : kShardCounts) {
+    auto sharded = std::make_shared<ShardedEngine>(db, shards);
+    EXPECT_TRUE(
+        sharded->CreateView("J", TpcdJoinViewDef(), TpcdJoinViewSamplingKey())
+            .ok());
+    EXPECT_TRUE(sharded->CreateView("A", agg).ok());
+    lanes.push_back({std::to_string(shards) + "-shard",
+                     std::make_unique<SqlSession>(
+                         EngineHandle::Sharded(std::move(sharded)))});
+  }
+  return lanes;
+}
+
+/// One delta batch: new orders with their lineitems, updated and deleted
+/// lineitems, and fact rows in and out.
+std::vector<std::string> DeltaBatch(const Database& base, int batch) {
+  Rng rng(0xde17a + static_cast<uint64_t>(batch));
+  const Table& orders = *base.GetTable("orders").value();
+  const Table& lineitem = *base.GetTable("lineitem").value();
+  std::vector<std::string> sql;
+  std::vector<Row> new_orders, new_lines, deleted, updated;
+  for (int i = 0; i < 40; ++i) {
+    Row o = orders.row(static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(orders.NumRows()) - 1)));
+    const int64_t key = 10000000 + batch * 1000 + i;
+    o[0] = Value::Int(key);
+    new_orders.push_back(o);
+    for (int64_t n = 1; n <= rng.UniformInt(1, 4); ++n) {
+      Row l = lineitem.row(static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(lineitem.NumRows()) - 1)));
+      l[0] = Value::Int(key);
+      l[1] = Value::Int(n);
+      l[5] = Value::Double(static_cast<double>(rng.UniformInt(100, 9999999)) /
+                           100.0);
+      new_lines.push_back(std::move(l));
+    }
+  }
+  // Distinct committed lineitems per batch: two in three updated, the
+  // rest deleted.
+  for (int i = 0; i < 150; ++i) {
+    const size_t at = static_cast<size_t>(batch * 1000 + i * 7) %
+                      lineitem.NumRows();
+    Row l = lineitem.row(at);
+    sql.push_back("DELETE FROM lineitem WHERE l_orderkey = " +
+                  SqlLiteral(l[0]) + " AND l_linenumber = " + SqlLiteral(l[1]));
+    if (i % 3 != 0) {
+      l[6] = Value::Double(static_cast<double>(rng.UniformInt(0, 10)) / 100.0);
+      l[5] = Value::Double(l[5].AsDouble() * 1.1);
+      updated.push_back(std::move(l));
+    }
+  }
+  sql.push_back(InsertSql("orders", new_orders));
+  sql.push_back(InsertSql("lineitem", new_lines));
+  if (!updated.empty()) sql.push_back(InsertSql("lineitem", updated));
+  std::vector<Row> facts;
+  for (int64_t i = 0; i < 25; ++i) {
+    facts.push_back({Value::Int(100000 + batch * 100 + i),
+                     Value::Int(rng.UniformInt(1, 6)),
+                     Value::Double(static_cast<double>(
+                                       rng.UniformInt(0, 100000)) /
+                                   16.0)});
+  }
+  sql.push_back(InsertSql("F", facts));
+  for (int i = 0; i < 8; ++i) {
+    sql.push_back("DELETE FROM F WHERE id = " +
+                  std::to_string(batch * 60 + i * 5));
+  }
+  return sql;
+}
+
+/// Sum, count, count(*) and avg queries on both views, scalar and grouped.
+std::vector<std::string> OrderQueries() {
+  const std::string rev = "l_extendedprice * (1 - l_discount)";
+  const std::vector<std::string> shapes = {
+      "SELECT SUM(" + rev + ") FROM J",
+      "SELECT COUNT(*) FROM J WHERE o_orderstatus = 'O'",
+      "SELECT COUNT(l_quantity) FROM J WHERE l_quantity > 20",
+      "SELECT AVG(l_discount) FROM J",
+      "SELECT l_shipmode, SUM(" + rev + ") FROM J GROUP BY l_shipmode",
+      "SELECT o_orderpriority, COUNT(*) FROM J GROUP BY o_orderpriority",
+      "SELECT l_returnflag, AVG(" + rev + ") FROM J GROUP BY l_returnflag",
+      "SELECT l_shipmode, AVG(l_extendedprice) FROM J WHERE l_quantity > 10 "
+      "GROUP BY l_shipmode",
+      "SELECT SUM(sv * 0.1) FROM A",
+      "SELECT AVG(sv * 0.3) FROM A WHERE c > 2",
+      "SELECT COUNT(*) FROM A WHERE sv > 1000.5",
+      "SELECT g, SUM(sv * 0.7) FROM A GROUP BY g",
+      "SELECT g, AVG(sv * 0.1) FROM A GROUP BY g",
+  };
+  std::vector<std::string> out;
+  for (const std::string& s : shapes) {
+    for (const char* mode : {"corr", "aqp", "auto"}) {
+      out.push_back(s + " WITH SVC(ratio=0.3, mode=" + std::string(mode) +
+                    ")");
+    }
+  }
+  return out;
+}
+
+/// ExpectSameResult, except that an AVG answered by SVC+CORR keeps its
+/// order-dependent bootstrap interval (and the message that prints it) out
+/// of the comparison.
+void ExpectSameAnswer(const std::string& sql, const SqlResult& got,
+                      const SqlResult& want) {
+  const bool bootstrap = sql.find("AVG(") != std::string::npos &&
+                         want.mode_used == EstimatorMode::kCorr;
+  if (!bootstrap) {
+    ExpectSameResult(got, want);
+    return;
+  }
+  EXPECT_EQ(got.mode_used, want.mode_used);
+  ASSERT_EQ(got.rows.NumRows(), want.rows.NumRows());
+  const size_t cols = want.rows.schema().NumColumns();
+  for (size_t i = 0; i < want.rows.NumRows(); ++i) {
+    for (size_t c = 0; c < cols; ++c) {
+      if (c == cols - 4 || c == cols - 3) continue;  // ci_low, ci_high
+      const Value& g = got.rows.row(i)[c];
+      const Value& w = want.rows.row(i)[c];
+      ASSERT_EQ(g.type(), w.type()) << "row " << i << " col " << c;
+      if (w.type() == ValueType::kDouble) {
+        EXPECT_EQ(BitsOf(g.AsDouble()), BitsOf(w.AsDouble()))
+            << "row " << i << " col " << c;
+      } else {
+        EXPECT_TRUE(g == w) << "row " << i << " col " << c;
+      }
+    }
+  }
+}
+
+/// `t` with its rows in a seeded order.
+Table Shuffled(const Table& t, uint64_t seed) {
+  std::vector<size_t> order(t.NumRows());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  Rng rng(seed);
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[static_cast<size_t>(rng.UniformInt(
+                                0, static_cast<int64_t>(i) - 1))]);
+  }
+  Table out(t.schema());
+  EXPECT_TRUE(out.SetPrimaryKey(t.PrimaryKeyNames()).ok());
+  for (size_t i : order) out.AppendUnchecked(t.row(i));
+  return out;
+}
+
+/// The §5.2.2 moments behind auto mode, σ²_S and cov(S, S′), for a few
+/// aggregates on the shared lane's samples with their rows in an order
+/// seeded by `seed`.
+std::vector<double> PolicyMoments(const SharedEngine& shared, uint64_t seed) {
+  const SvcEngine& eng = shared.Snapshot()->engine;
+  const ExprPtr rev = Expr::Mul(
+      Expr::Col("l_extendedprice"),
+      Expr::Sub(Expr::LitInt(1), Expr::Col("l_discount")));
+  const std::vector<std::pair<std::string, AggregateQuery>> queries = {
+      {"J", AggregateQuery::Sum(rev)},
+      {"J", AggregateQuery::Sum(Expr::Col("l_extendedprice"),
+                                Expr::Gt(Expr::Col("l_quantity"),
+                                         Expr::LitInt(25)))},
+      {"J", AggregateQuery::Avg(Expr::Col("l_discount"))},
+      {"A", AggregateQuery::Sum(Expr::Mul(Expr::Col("sv"),
+                                          Expr::LitDouble(0.1)))},
+  };
+  std::vector<double> out;
+  for (const auto& [view, q] : queries) {
+    auto samples =
+        eng.CleanSample(view, CleanOptions(0.3, HashFamily::kFnv1a));
+    EXPECT_TRUE(samples.ok()) << samples.status().ToString();
+    if (!samples.ok()) continue;
+    // Several row orders per permutation: the pairing's hash table visits
+    // rows in an order that storage order moves only where keys collide.
+    const CorrespondingSamples stored = *samples;
+    for (uint64_t shuffle = 0; shuffle < 4; ++shuffle) {
+      samples->fresh = Shuffled(stored.fresh, seed * 8 + shuffle);
+      samples->stale = Shuffled(stored.stale, seed * 8 + shuffle + 4);
+      auto d = ChooseEstimator(*samples, q);
+      EXPECT_TRUE(d.ok()) << d.status().ToString();
+      if (!d.ok()) continue;
+      out.push_back(d->var_stale);
+      out.push_back(d->cov);
+    }
+  }
+  return out;
+}
+
+TEST(DifferentialTest, AnswersDoNotDependOnStorageOrder) {
+  const Database base = OrderTestBase();
+  const std::vector<std::string> queries = OrderQueries();
+  // results[phase][query] of the reference: the private lane over the
+  // generated order.
+  std::vector<std::vector<SqlResult>> want(2);
+  std::vector<uint64_t> want_moments;
+  for (uint64_t perm : {0, 1, 2}) {
+    std::shared_ptr<SharedEngine> shared;
+    std::vector<SqlLane> lanes = OrderLanes(Permuted(base, perm), &shared);
+    for (SqlLane& lane : lanes) {
+      SCOPED_TRACE("permutation=" + std::to_string(perm) +
+                   " lane=" + lane.mode);
+      for (int phase = 0; phase < 2; ++phase) {
+        // Phase 0 queries a stale view; phase 1 after REFRESH and a second
+        // batch, over maintained views.
+        if (phase == 1) MustRun(lane.session.get(), "REFRESH ALL");
+        for (const std::string& sql : DeltaBatch(base, phase)) {
+          MustRun(lane.session.get(), sql);
+        }
+        for (size_t q = 0; q < queries.size(); ++q) {
+          SCOPED_TRACE(queries[q]);
+          SqlResult got = MustRun(lane.session.get(), queries[q]);
+          if (want[phase].size() == q) {
+            want[phase].push_back(std::move(got));
+            continue;
+          }
+          ExpectSameAnswer(queries[q], got, want[phase][q]);
+        }
+      }
+    }
+    std::vector<uint64_t> moments;
+    for (double m : PolicyMoments(*shared, perm)) moments.push_back(BitsOf(m));
+    if (perm == 0) want_moments = moments;
+    EXPECT_EQ(moments, want_moments) << "permutation=" << perm;
+  }
+}
 
 constexpr uint64_t kSeeds[] = {1, 2, 3, 4, 5, 6, 7, 8, 11, 42};
 

@@ -8,8 +8,6 @@
 // check that a policy-triggered refresh is never half-durable.
 
 #include <gtest/gtest.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstring>
@@ -28,7 +26,9 @@
 #include "core/svc.h"
 #include "sql/session.h"
 #include "storage/durable_engine.h"
+#include "server/client.h"
 #include "storage/fault.h"
+#include "tests/served_process.h"
 #include "tests/test_util.h"
 
 namespace svc {
@@ -356,35 +356,23 @@ TEST(MaintenancePolicyTest, PolicyRefreshCrashRecoversPreRefreshState) {
       "SET MAINTENANCE POLICY (mode=auto, sla_ms=1, tick_ms=1)",
   };
 
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // Child: the injected crash fires inside the scheduler thread at the
-    // maint.refresh site — before the refresh's WAL record exists.
-    FaultInjector::Global().Arm("maint.refresh", 1);
-    DurableOptions o;
-    o.data_dir = dir;
-    auto opened = DurableEngine::Open(o);
-    if (!opened.ok()) _exit(3);
-    auto eng = std::move(opened).value();
-    SqlSession session(EngineHandle::Durable(eng));
-    for (const std::string& s : sql) {
-      if (!session.Execute(s).ok()) _exit(4);
+  // The server's scheduler thread crashes at the maint.refresh site, before
+  // the refresh's WAL record exists. It can fire before the response to
+  // the policy DDL leaves, so that last statement may fail on the wire.
+  testing_util::ServedProcess child;
+  ASSERT_EQ(child.Start(dir, dir + ".port", "maint.refresh"), "");
+  {
+    ClientOptions copts;
+    copts.port = child.port();
+    SVC_ASSERT_OK_AND_ASSIGN(std::unique_ptr<SvcClient> client,
+                             SvcClient::Connect(copts));
+    for (size_t i = 0; i + 1 < sql.size(); ++i) {
+      SVC_ASSERT_OK(client->Execute(sql[i]).status());
     }
-    eng->StartMaintenance();
-    // The armed site should fire within a tick or two; cap the wait so a
-    // broken scheduler fails the parent's assertion instead of hanging it.
-    for (int i = 0; i < 10000; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    _exit(6);
+    (void)client->Execute(sql.back());
   }
-  int wstatus = 0;
-  ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
-  ASSERT_TRUE(WIFEXITED(wstatus));
-  ASSERT_EQ(WEXITSTATUS(wstatus), FaultInjector::kCrashExitCode)
-      << "child exited " << WEXITSTATUS(wstatus)
-      << " (the armed maint.refresh site was never reached)";
+  ASSERT_EQ(child.Wait(), FaultInjector::kCrashExitCode)
+      << "the armed maint.refresh site was never reached";
 
   // Recovery lands on exactly the pre-refresh state: every hand-issued
   // commit (including the policy DDL) is there, the policy refresh is not.

@@ -257,6 +257,44 @@ TEST(ShardedEngineTest, KeyedWritesProbeShardsWithoutGathering) {
   EXPECT_EQ(eng->CoordinatorGathersBuilt(), before + 1);
 }
 
+TEST(ShardedEngineTest, SvcReadsAddShardMomentsWithoutGathering) {
+  // After a REFRESH every shard part is new, so any read that needed the
+  // logical view would rebuild a cross-shard merge. Sum, count and avg add
+  // the shards' exact moments instead; only a median still gathers.
+  TpcdConfig cfg;
+  cfg.scale_factor = 0.002;
+  SVC_ASSERT_OK_AND_ASSIGN(Database db, GenerateTpcdDatabase(cfg));
+  auto eng = std::make_shared<ShardedEngine>(std::move(db), 4);
+  SVC_ASSERT_OK(eng->CreateView("join_view", TpcdJoinViewDef(),
+                                TpcdJoinViewSamplingKey()));
+  ASSERT_TRUE(eng->Snapshot()->meta->IsPartitionedView("join_view"));
+  SqlSession session(EngineHandle::Sharded(eng));
+  auto run = [&](const std::string& sql) {
+    auto r = session.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+  };
+  run("DELETE FROM lineitem WHERE l_orderkey = 1 AND l_linenumber = 1");
+  run("REFRESH ALL");
+  run("DELETE FROM lineitem WHERE l_orderkey = 2 AND l_linenumber = 1");
+
+  const uint64_t before = eng->CoordinatorGathersBuilt();
+  const std::string rev = "l_extendedprice * (1 - l_discount)";
+  for (const std::string& agg :
+       {"SUM(" + rev + ")", std::string("COUNT(l_quantity)"),
+        std::string("COUNT(*)"), std::string("AVG(l_discount)")}) {
+    run("SELECT " + agg + " FROM join_view WITH SVC(ratio=0.2, mode=corr)");
+    run("SELECT l_shipmode, " + agg +
+        " FROM join_view GROUP BY l_shipmode WITH SVC(ratio=0.2, mode=corr)");
+  }
+  run("SELECT COUNT(*) FROM join_view WITH SVC(ratio=0.2, mode=auto)");
+  run("SHOW MAINTENANCE");
+  EXPECT_EQ(eng->CoordinatorGathersBuilt(), before);
+
+  run("SELECT MEDIAN(l_discount) FROM join_view "
+      "WITH SVC(ratio=0.2, mode=corr)");
+  EXPECT_EQ(eng->CoordinatorGathersBuilt(), before + 1);
+}
+
 // ---- Concurrency stress (the TSan target) ----------------------------------
 //
 // One writer session runs rounds of INSERT + REFRESH while reader sessions
